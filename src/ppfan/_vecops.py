@@ -50,6 +50,12 @@ def scale_to_int(v):
     return primitive(tuple(int(x * lcm) for x in v))
 
 
+def frac_str(x):
+    """A rational as its JSON string: "p" for integers, "p/q" otherwise."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 def sign_canonical(v):
     """Flip the sign of an integer vector so its first nonzero entry is > 0."""
     for x in v:

@@ -15,13 +15,27 @@ from .polyhedra import RefinementGuardExceeded, induced_subdivision
 from .verify import run_battery
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_weights(path):
+    """The weight matrix of a weight file; ValueError on anything but integer weights."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("weight file must be a JSON object with lattice_rank and weights")
     rank = data["lattice_rank"]
     weights = data["weights"]
-    if any(len(w) != rank for w in weights):
-        raise ValueError("every weight must have lattice_rank entries")
+    if not _is_int(rank) or rank < 1:
+        raise ValueError(f"lattice_rank must be an integer >= 1, got {rank!r}")
+    if not isinstance(weights, list) or not weights:
+        raise ValueError("weights must be a nonempty list")
+    for w in weights:
+        if not isinstance(w, list) or len(w) != rank:
+            raise ValueError(f"every weight must have lattice_rank entries, got {w!r}")
+        if not all(_is_int(x) for x in w):
+            raise ValueError(f"weight entries must be integers, got {w!r}")
     rows = tuple(tuple(w[r] for w in weights) for r in range(rank))
     return LatticeMap(rows, "E", "M")
 

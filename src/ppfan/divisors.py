@@ -12,7 +12,7 @@ reach of pure combinatorics and are reported as assumptions, not checked.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._vecops import dot, neg, primitive
+from ._vecops import dot, frac_str, neg, primitive
 from .polyhedra import (
     Cone,
     Fan,
@@ -123,15 +123,10 @@ class FormalDivisor:
         raise KeyError(label)
 
     def to_json(self):
-        out = {"terms": [{"label": l.to_json(), "coefficient": _frac_str(c)} for l, c in self.terms]}
+        out = {"terms": [{"label": l.to_json(), "coefficient": frac_str(c)} for l, c in self.terms]}
         if self.omitted:
             out["omitted"] = [l.to_json() for l in self.omitted]
         return out
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def evaluate(divisor: PPDivisor, u) -> FormalDivisor:

@@ -13,6 +13,8 @@ All integer arithmetic is arbitrary precision, rationals are
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._vecops import frac_str
+
 
 def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -285,13 +287,8 @@ class RationalMap:
         return {
             "domain": self.domain,
             "codomain": self.codomain,
-            "entries": [[_frac_str(x) for x in row] for row in self.entries],
+            "entries": [[frac_str(x) for x in row] for row in self.entries],
         }
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _int_kernel_rows(matrix, ncols):

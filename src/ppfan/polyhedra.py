@@ -17,8 +17,9 @@ coordinate.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from ._vecops import dot, is_zero, neg, scale_to_int, sign_canonical
+from ._vecops import dot, frac_str, is_zero, neg, scale_to_int, sign_canonical
 from .dd import dd_cone
 from .lattice import hnf_rows
 
@@ -32,9 +33,11 @@ def _check_same_ambient(a, b):
         raise LatticeMismatch(f"ambient lattices differ: {a.ambient!r} vs {b.ambient!r}")
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _check_lengths(dim, vectors, what):
+    """Raise ValueError naming the first vector whose length is not dim."""
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(f"{what} {tuple(v)!r} has length {len(v)}, expected {dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +57,8 @@ class Cone:
 
     @staticmethod
     def from_rays(ambient, dim_ambient, rays, lineality=()):
+        _check_lengths(dim_ambient, rays, "ray")
+        _check_lengths(dim_ambient, lineality, "lineality vector")
         rays = [scale_to_int(tuple(r)) for r in rays]
         lineality = [scale_to_int(tuple(l)) for l in lineality]
         # facets and span equations come from the polar cone
@@ -65,6 +70,8 @@ class Cone:
 
     @staticmethod
     def from_ineqs(ambient, dim_ambient, ineqs, eqs=()):
+        _check_lengths(dim_ambient, ineqs, "inequality")
+        _check_lengths(dim_ambient, eqs, "equation")
         ineqs = [scale_to_int(tuple(a)) for a in ineqs]
         eqs = [scale_to_int(tuple(e)) for e in eqs]
         rays, lin = dd_cone(dim_ambient, ineqs, eqs)
@@ -120,15 +127,22 @@ class Cone:
         return tuple(sum(r[i] for r in self.rays) for i in range(self.dim_ambient))
 
     def is_face_of(self, other):
-        """True iff self is a face of other (the face-of relation, exact)."""
+        """True iff self is a face of other (the face-of relation, exact).
+
+        The face of other cut out by its facet rows tight on self is spanned
+        by other's rays on those rows and its lineality; it contains self, so
+        it equals self iff self contains those generators.
+        """
+        if (self.ambient, self.dim_ambient) != (other.ambient, other.dim_ambient):
+            return False
         if not other.contains_cone(self):
             return False
         tight = [a for a in other.ineqs
                  if all(dot(a, r) == 0 for r in self.rays)
                  and all(dot(a, l) == 0 for l in self.lineality)]
-        face = Cone.from_ineqs(other.ambient, other.dim_ambient,
-                               other.ineqs, other.eqs + tuple(tight))
-        return face == self
+        gens = [r for r in other.rays if all(dot(a, r) == 0 for a in tight)]
+        gens += list(other.lineality) + [neg(l) for l in other.lineality]
+        return all(self.contains(g) for g in gens)
 
     def common_face_with(self, other):
         """True iff self ∩ other is a face of both."""
@@ -166,6 +180,10 @@ class Polyhedron:
     `ineqs` rows are (a_1,...,a_d, b) meaning a.x >= b, scaled to primitive
     integers; `eqs` rows likewise with a.x == b, in HNF.  The empty
     polyhedron has `empty=True` and no other data.
+
+    Containment and face tests read integer homogeneous forms of the same
+    data (`_hom_gens`, `_hom_rows`), computed on first use and cached on the
+    instance; they are not fields, so equality, hashing and JSON ignore them.
     """
 
     ambient: str
@@ -184,12 +202,17 @@ class Polyhedron:
     @staticmethod
     def from_halfspaces(ambient, dim_ambient, ineqs, eqs=()):
         """ineqs: (vector, offset) pairs with a.x >= b; eqs with a.x == b."""
+        _check_lengths(dim_ambient, (a for a, _ in ineqs), "inequality normal")
+        _check_lengths(dim_ambient, (a for a, _ in eqs), "equation normal")
         hom_ineqs = [_hom_row(a, b) for a, b in ineqs]
         hom_eqs = [_hom_row(a, b) for a, b in eqs]
         return _poly_from_hom(ambient, dim_ambient, hom_ineqs, hom_eqs)
 
     @staticmethod
     def from_generators(ambient, dim_ambient, vertices=(), rays=(), lineality=()):
+        _check_lengths(dim_ambient, vertices, "vertex")
+        _check_lengths(dim_ambient, rays, "ray")
+        _check_lengths(dim_ambient, lineality, "lineality vector")
         if not vertices:
             return Polyhedron.empty_in(ambient, dim_ambient)
         gens = [scale_to_int(tuple(v) + (1,)) for v in vertices]
@@ -210,16 +233,32 @@ class Polyhedron:
     def is_pointed(self):
         return not self.lineality
 
+    @cached_property
+    def _hom_gens(self):
+        """(vertices, rays, lineality) as integer rows.
+
+        A vertex x becomes (N, D) with x = N/D and D > 0, a ray r becomes (r, 0).
+        """
+        return (tuple(scale_to_int(v + (1,)) for v in self.vertices),
+                tuple(r + (0,) for r in self.rays),
+                tuple(l + (0,) for l in self.lineality))
+
+    @cached_property
+    def _hom_rows(self):
+        """(ineqs, eqs) as rows (a, -b): a.x >= b iff (a, -b).(N, D) >= 0."""
+        return (tuple(a[:-1] + (-a[-1],) for a in self.ineqs),
+                tuple(e[:-1] + (-e[-1],) for e in self.eqs))
+
     def tail_cone(self):
         if self.empty:
             raise ValueError("empty polyhedron has no tail cone")
         return Cone.from_rays(self.ambient, self.dim_ambient, self.rays, self.lineality)
 
     def contains(self, x):
+        _check_lengths(self.dim_ambient, [x], "point")
         if self.empty:
             return False
-        return (all(dot(a[:-1], x) >= a[-1] for a in self.ineqs)
-                and all(dot(e[:-1], x) == e[-1] for e in self.eqs))
+        return _gens_in(self, (scale_to_int(tuple(x) + (1,)),), ())
 
     def translate(self, v):
         if self.empty:
@@ -242,16 +281,22 @@ class Polyhedron:
         return tuple(pt)
 
     def is_face_of(self, other):
-        """True iff self is a (possibly empty, possibly improper) face of other."""
+        """True iff self is a (possibly empty, possibly improper) face of other.
+
+        The face of other cut out by its rows tight on self is generated by
+        other's vertices and rays on those rows plus its lineality; it
+        contains self, so it equals self iff self contains those generators.
+        """
         if self.empty:
             return True
-        gens_ok = (all(other.contains(v) for v in self.vertices)
-                   and _cone_leq(self, other))
-        if not gens_ok:
+        if other.empty or (self.ambient, self.dim_ambient) != (other.ambient, other.dim_ambient):
             return False
-        tight = [a for a in other.ineqs if _tight_on(a, self)]
-        face = _face_from_tight(other, tight)
-        return face == self
+        if not _subset_of(self, other):
+            return False
+        tight = [h for h in other._hom_rows[0] if _tight_on(h, self)]
+        verts, rays, lin = other._hom_gens
+        on_face = [g for g in verts + rays if all(dot(h, g) == 0 for h in tight)]
+        return _gens_in(self, on_face, lin)
 
     def common_face_with(self, other):
         meet = intersect(self, other)
@@ -263,7 +308,7 @@ class Polyhedron:
         return {
             "ambient": self.ambient,
             "empty": False,
-            "vertices": [[_frac_str(x) for x in v] for v in self.vertices],
+            "vertices": [[frac_str(x) for x in v] for v in self.vertices],
             "rays": [list(r) for r in self.rays],
             "lineality": [list(l) for l in self.lineality],
             "halfspaces": [{"normal": list(a[:-1]), "offset": a[-1]} for a in self.ineqs],
@@ -313,23 +358,28 @@ def hnf_like_rows(rows):
     return hnf_rows(rows, len(rows[0]))
 
 
+def _gens_in(q, points, lines):
+    """Homogeneous points and rays, and both signs of lines, lie in q's homogenised cone.
+
+    For rays and lines this is the recession cone of a nonempty q, since
+    the recession cone of {a.x >= b} is {a.x >= 0}.
+    """
+    ineqs, eqs = q._hom_rows
+    return (all(dot(h, g) >= 0 for g in points for h in ineqs)
+            and all(dot(e, g) == 0 for g in points for e in eqs)
+            and all(dot(h, g) == 0 for g in lines for h in ineqs + eqs))
+
+
 def _cone_leq(p, q):
-    """tail(p) together with lineality contained in tail(q)+lineality(q)."""
-    qtail = q.tail_cone()
-    for r in p.rays:
-        if not qtail.contains(r):
-            return False
-    for l in p.lineality:
-        if not (qtail.contains(l) and qtail.contains(neg(l))):
-            return False
-    return True
+    """tail(p) together with lineality contained in tail(q)+lineality(q); q nonempty."""
+    _, rays, lin = p._hom_gens
+    return _gens_in(q, rays, lin)
 
 
 def _tight_on(hom_row, poly):
-    a, b = hom_row[:-1], hom_row[-1]
-    return (all(dot(a, v) == b for v in poly.vertices)
-            and all(dot(a, r) == 0 for r in poly.rays)
-            and all(dot(a, l) == 0 for l in poly.lineality))
+    """The homogeneous row (a, -b) holds with equality on all of poly."""
+    verts, rays, lin = poly._hom_gens
+    return all(dot(hom_row, g) == 0 for g in verts + rays + lin)
 
 
 def _face_from_tight(poly, tight_rows):
@@ -567,15 +617,7 @@ class Subdivision:
                 facet = _face_from_tight(p, [row])
                 if facet.empty or facet.dim != dim - 1:
                     continue
-                shared = False
-                for j, q in cells:
-                    if q is p:
-                        continue
-                    meet = intersect(facet, q)
-                    if meet == facet:
-                        shared = True
-                        break
-                if shared:
+                if any(q is not p and _subset_of(facet, q) for _, q in cells):
                     continue
                 if self.support is not None and _facet_on_boundary(facet, self.support):
                     continue
@@ -591,19 +633,19 @@ class Subdivision:
 
 
 def _subset_of(p, q):
-    return (all(q.contains(v) for v in p.vertices)
-            and _cone_leq(p, q))
+    if p.empty:
+        return True
+    if q.empty:
+        return False
+    return _gens_in(q, p._hom_gens[0], ()) and _cone_leq(p, q)
 
 
 def _facet_on_boundary(facet, support):
-    for row in support.ineqs:
-        if _tight_on(row, facet):
-            return True
-    return False
+    return any(_tight_on(h, facet) for h in support._hom_rows[0])
 
 
 def _frac_point(p):
-    return [_frac_str(x) for x in p.relative_interior_point()]
+    return [frac_str(x) for x in p.relative_interior_point()]
 
 
 def _label_json(label):

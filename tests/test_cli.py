@@ -121,6 +121,21 @@ def test_ragged_weights_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("data, needle", [
+    ({"lattice_rank": 2, "weights": [[2.7, 1], [1, 1], [0, 1]]}, "2.7"),
+    ({"lattice_rank": 2, "weights": [[True, 1], [1, 1], [0, 1]]}, "True"),
+    ({"lattice_rank": 0, "weights": []}, "lattice_rank"),
+    ({"lattice_rank": 2, "weights": []}, "nonempty"),
+    ({"lattice_rank": 2.0, "weights": [[2, 1], [1, 1], [0, 1]]}, "lattice_rank"),
+], ids=["float", "bool", "rank-0-empty", "no-weights", "float-rank"])
+def test_non_integer_or_empty_weights_exit_2(capsys, tmp_path, data, needle):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "setup", "--weights", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err
+
+
 def test_fansy_guard_exit_2(capsys):
     code, _, err = run(capsys, "fansy", "--n", "9")
     assert code == 2

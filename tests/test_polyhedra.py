@@ -1,13 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppfan.lattice import LatticeMap
 from ppfan.polyhedra import (
     Cone,
     Polyhedron,
     RefinementGuardExceeded,
+    Subdivision,
+    _cone_leq,
+    _face_from_tight,
+    _subset_of,
     common_refinement_fan,
     dual_description,
     face_minimizing,
@@ -369,3 +376,246 @@ def test_lift_independence():
 def test_heights_length_checked():
     with pytest.raises(ValueError):
         induced_subdivision("Q", [(0, 0)], [1, 2])
+
+
+# --- constructor dimension checks ------------------------------------------
+
+def test_from_generators_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(0, 0, 7\)"):
+        Polyhedron.from_generators("A", 2, [(0, 0, 7)])
+    with pytest.raises(ValueError, match="ray"):
+        Polyhedron.from_generators("A", 2, [(0, 0)], rays=[(1,)])
+
+
+def test_from_halfspaces_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\)"):
+        Polyhedron.from_halfspaces("A", 2, [((1, 0, 0), 0)])
+    with pytest.raises(ValueError, match="equation"):
+        Polyhedron.from_halfspaces("A", 2, [], [((1,), 0)])
+
+
+def test_contains_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
+        poly_V([(0, 0)]).contains((1, 2, 3))
+
+
+def test_cone_from_rays_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(1, 2, 3\)"):
+        Cone.from_rays("A", 2, [(1, 0), (1, 2, 3)])
+    with pytest.raises(ValueError, match="lineality"):
+        Cone.from_rays("A", 2, [], [(1,)])
+
+
+def test_cone_from_ineqs_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(1,\)"):
+        Cone.from_ineqs("A", 2, [(1,)])
+    with pytest.raises(ValueError, match="equation"):
+        Cone.from_ineqs("A", 2, [], [(0, 1, 1)])
+
+
+# --- face and containment tests against rebuild-and-compare references -----
+#
+# The references below are the definitions by double description: rebuild
+# the face cut out by the tight rows (or the tail cone, or the intersection)
+# and compare canonical forms.  The package tests the same relations on the
+# generators it already holds; both must agree on every drawn pair.
+
+HYP = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+               suppress_health_check=[HealthCheck.too_slow])
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def ref_contains(q, x):
+    return (not q.empty
+            and all(_dot(a[:-1], x) >= a[-1] for a in q.ineqs)
+            and all(_dot(e[:-1], x) == e[-1] for e in q.eqs))
+
+
+def ref_cone_leq(p, q):
+    qtail = q.tail_cone()
+    return (all(qtail.contains(r) for r in p.rays)
+            and all(qtail.contains(l) and qtail.contains(tuple(-x for x in l))
+                    for l in p.lineality))
+
+
+def ref_tight_on(row, p):
+    a, b = row[:-1], row[-1]
+    return (all(_dot(a, v) == b for v in p.vertices)
+            and all(_dot(a, r) == 0 for r in p.rays)
+            and all(_dot(a, l) == 0 for l in p.lineality))
+
+
+def ref_is_face_of(p, q):
+    if p.empty:
+        return True
+    if not (all(ref_contains(q, v) for v in p.vertices) and ref_cone_leq(p, q)):
+        return False
+    tight = [a for a in q.ineqs if ref_tight_on(a, p)]
+    return _face_from_tight(q, tight) == p
+
+
+def ref_cone_is_face_of(c, other):
+    if not other.contains_cone(c):
+        return False
+    tight = [a for a in other.ineqs
+             if all(_dot(a, r) == 0 for r in c.rays)
+             and all(_dot(a, l) == 0 for l in c.lineality)]
+    face = Cone.from_ineqs(other.ambient, other.dim_ambient,
+                           other.ineqs, other.eqs + tuple(tight))
+    return face == c
+
+
+def ref_coverage_findings(sub, cells, dim):
+    findings = []
+    for i, p in cells:
+        for row in p.ineqs:
+            facet = _face_from_tight(p, [row])
+            if facet.empty or facet.dim != dim - 1:
+                continue
+            if any(q is not p and intersect(facet, q) == facet for _, q in cells):
+                continue
+            if sub.support is not None and any(ref_tight_on(r, facet)
+                                               for r in sub.support.ineqs):
+                continue
+            findings.append(f"facet of cell {i} is uncovered (normal {row[:-1]})")
+    return findings
+
+
+_ints = st.integers(-3, 3)
+_rats = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+
+def _vectors(entries, d, **kw):
+    return st.lists(st.tuples(*[entries] * d), **kw)
+
+
+@st.composite
+def polyhedra(draw, d):
+    """Bounded or unbounded, possibly lower-dimensional, with lineality, or empty."""
+    shape = draw(st.sampled_from(["bounded", "unbounded", "lineality", "flat", "empty"]))
+    if shape == "empty":
+        return Polyhedron.empty_in("Q", d)
+    verts = draw(_vectors(_rats, d, min_size=1, max_size=4))
+    rays = draw(_vectors(_ints, d, min_size=shape == "unbounded", max_size=2))
+    lin = draw(_vectors(_ints, d, min_size=1, max_size=1)) if shape == "lineality" else []
+    if shape == "bounded":
+        rays = []
+    if shape == "flat":
+        c = draw(_rats)
+        verts = [v[:-1] + (c,) for v in verts]
+        rays = [r[:-1] + (0,) for r in rays]
+        lin = [l[:-1] + (0,) for l in draw(_vectors(_ints, d, max_size=1))]
+    return poly_V(verts, [r for r in rays if any(r)], [l for l in lin if any(l)], d=d)
+
+
+@st.composite
+def polyhedron_pairs(draw):
+    """(p, q) where p is a face of q, a part of q that is not a face, or neither."""
+    d = draw(st.integers(1, 3))
+    q = draw(polyhedra(d))
+    kind = draw(st.sampled_from(["other", "inner", "shift", "meet", "face", "tight", "self"]))
+    if q.empty or kind == "other":
+        p = draw(polyhedra(d))
+    elif kind == "inner":
+        x = q.relative_interior_point()
+        p = poly_V([tuple((a + b) / 2 for a, b in zip(v, x)) for v in q.vertices],
+                   q.rays, q.lineality, d=d)
+    elif kind == "shift":
+        p = q.translate(draw(st.tuples(*[_ints] * d)))
+    elif kind == "meet":
+        p = intersect(q, draw(polyhedra(d)))
+    elif kind == "face":
+        p = face_minimizing(q, draw(st.tuples(*[_ints] * d))) or q
+    elif kind == "tight":
+        rows = draw(st.lists(st.sampled_from(q.ineqs), max_size=2)) if q.ineqs else []
+        p = _face_from_tight(q, rows)
+    else:
+        p = q
+    return p, q
+
+
+@HYP
+@given(polyhedron_pairs())
+def test_is_face_of_matches_rebuild(pq):
+    p, q = pq
+    assert p.is_face_of(q) == ref_is_face_of(p, q)
+    assert q.is_face_of(p) == ref_is_face_of(q, p)
+
+
+@HYP
+@given(polyhedron_pairs())
+def test_is_face_of_false_across_ambients(pq):
+    p, q = pq
+    moved = replace(p, ambient="R")
+    assert moved.is_face_of(q) == ref_is_face_of(moved, q) == moved.empty
+
+
+@HYP
+@given(polyhedron_pairs())
+def test_containment_matches_rebuild(pq):
+    p, q = pq
+    if not p.empty and not q.empty:
+        assert _cone_leq(p, q) == ref_cone_leq(p, q)
+        assert _subset_of(p, q) == (intersect(p, q) == p)
+    assert _subset_of(p, q) == (p.empty or (all(ref_contains(q, v) for v in p.vertices)
+                                            and not q.empty and ref_cone_leq(p, q)))
+    for v in p.vertices:
+        assert q.contains(v) == ref_contains(q, v)
+
+
+@st.composite
+def cone_pairs(draw):
+    d = draw(st.integers(1, 3))
+
+    def cone():
+        rays = draw(_vectors(_ints, d, max_size=4))
+        lin = draw(_vectors(_ints, d, max_size=1))
+        if draw(st.booleans()):
+            rays = [r[:-1] + (0,) for r in rays]
+            lin = [l[:-1] + (0,) for l in lin]
+        return Cone.from_rays("Q", d, [r for r in rays if any(r)], [l for l in lin if any(l)])
+
+    other = cone()
+    kind = draw(st.sampled_from(["facet", "tight", "meet", "self", "other"]))
+    if kind == "facet" and other.ineqs:
+        c = draw(st.sampled_from(other.facets()))
+    elif kind == "tight":
+        rows = draw(st.lists(st.sampled_from(other.ineqs), max_size=2)) if other.ineqs else []
+        c = Cone.from_ineqs("Q", d, other.ineqs, other.eqs + tuple(rows))
+    elif kind == "meet":
+        c = other.intersect(cone())
+    elif kind == "self":
+        c = other
+    else:
+        c = cone()
+    return c, other
+
+
+@HYP
+@given(cone_pairs())
+def test_cone_is_face_of_matches_rebuild(pair):
+    c, other = pair
+    assert c.is_face_of(other) == ref_cone_is_face_of(c, other)
+    assert other.is_face_of(c) == ref_cone_is_face_of(other, c)
+    moved = replace(c, ambient="R")
+    assert moved.is_face_of(other) is False
+    assert ref_cone_is_face_of(moved, other) is False
+
+
+@settings(HYP, max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=6,
+                unique=True),
+       st.data())
+def test_coverage_matches_rebuild(points, data):
+    heights = data.draw(st.lists(_ints, min_size=len(points), max_size=len(points)))
+    sub = induced_subdivision("Q", points, heights)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sub.cells), max_size=len(sub.cells)))
+    cells = tuple(c for c, k in zip(sub.cells, keep) if k) or sub.cells
+    support = data.draw(st.sampled_from([sub.support, None]))
+    sub = Subdivision("Q", 2, cells, support)
+    dim = 2 if support is None else support.dim
+    maximal = list(enumerate(sub.maximal_cells()))
+    assert sub._coverage_findings(maximal, dim) == ref_coverage_findings(sub, maximal, dim)
