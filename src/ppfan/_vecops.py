@@ -39,12 +39,17 @@ def is_zero(v):
 
 
 def scale_to_int(v):
-    """Clear denominators of a rational vector; returns a primitive int tuple."""
+    """Clear denominators of a rational vector; returns a primitive int tuple.
+
+    Entries must be ints or Fractions; anything else (a float) is a ValueError.
+    """
     lcm = 1
     for x in v:
         if isinstance(x, Fraction):
             d = x.denominator
             lcm = lcm // gcd(lcm, d) * d
+        elif not isinstance(x, int):
+            raise ValueError(f"{x!r} in {tuple(v)!r} is not an int or a Fraction")
     if lcm == 1:
         return primitive(tuple(int(x) for x in v))
     return primitive(tuple(int(x * lcm) for x in v))

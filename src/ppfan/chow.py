@@ -133,18 +133,20 @@ class RecipeDivisor:
 
 
 def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, labels=None,
-                    max_orthant_dim=16) -> RecipeDivisor:
+                    max_chambers=10000) -> RecipeDivisor:
     """Coefficient per fan ray: the positive fiber shifted into the dual space.
 
     With `retraction` (a RationalMap splitting the embedding `emb` of the dual
     lattice, in whatever coordinates the caller likes) the shift is implicit;
     otherwise the integral section of the setup is used and coefficients come
     out in the canonical dual coordinates.  Explicit `rays` restrict the
-    computation, e.g. to the rays known to meet a subvariety's quotient.
+    computation, e.g. to the rays known to meet a subvariety's quotient;
+    without them the rays of the quotient fan `common_refinement_fan(pi)` are
+    used, guarded by `max_chambers`.
     """
     pi = setup.pi
     if rays is None:
-        fan = common_refinement_fan(pi, max_orthant_dim=max_orthant_dim)
+        fan = common_refinement_fan(pi, max_chambers=max_chambers)
         rays = fan.rays()
     rays = [tuple(int(x) for x in c) for c in rays]
     if not rays:

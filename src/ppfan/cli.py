@@ -77,7 +77,7 @@ def cmd_ppdivisor(args):
     if args.rays:
         with open(args.rays) as fh:
             rays = [tuple(r) for r in json.load(fh)]
-    recipe = pp_from_weights(setup, rays=rays, max_orthant_dim=args.max_faces)
+    recipe = pp_from_weights(setup, rays=rays, max_chambers=args.max_chambers)
     out = recipe.divisor.to_json()
     out["rays"] = [{"label": l.to_json(), "ray": list(c)} for l, c in recipe.rays]
     emit(out)
@@ -86,7 +86,7 @@ def cmd_ppdivisor(args):
 
 def cmd_projectivize(args):
     setup = build_setup(load_weights(args.weights))
-    recipe = pp_from_weights(setup, max_orthant_dim=args.max_faces)
+    recipe = pp_from_weights(setup, max_chambers=args.max_chambers)
     fansy = projectivize(setup, recipe)
     emit(fansy.to_json())
     return 0
@@ -164,13 +164,13 @@ def build_parser():
     p = sub.add_parser("ppdivisor", help="divisor of the affine cone from a weight matrix")
     p.add_argument("--weights", required=True)
     p.add_argument("--rays", help="JSON file with an explicit list of rays")
-    p.add_argument("--max-faces", type=int, default=16,
-                   help="guard on the orthant dimension for the refinement fan")
+    p.add_argument("--max-chambers", type=int, default=10000,
+                   help="guard on the number of chambers of the quotient fan")
     p.set_defaults(fn=cmd_ppdivisor)
 
     p = sub.add_parser("projectivize", help="fansy divisor of the projectivized variety")
     p.add_argument("--weights", required=True)
-    p.add_argument("--max-faces", type=int, default=16)
+    p.add_argument("--max-chambers", type=int, default=10000)
     p.set_defaults(fn=cmd_projectivize)
 
     p = sub.add_parser("fansy", help="Gr(2,n) fansy divisor, closed form and/or recipe")

@@ -31,13 +31,17 @@ else:
 def dd_cone(dim, ineqs, eqs, process=None):
     """Extreme rays and lineality of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
-    All input vectors must be integer tuples of length `dim`.  Returns
+    All input vectors must be integer tuples of length `dim` (ValueError
+    naming the first one that is not that long).  Returns
     (rays, lineality): rays are primitive, reduced modulo the lineality
     space and sorted; the lineality basis is the canonical saturated RREF.
     The result is independent of input order and duplicates.
     """
     run = process if process is not None else _process
     constraints = [(tuple(e), True) for e in eqs] + [(tuple(a), False) for a in ineqs]
+    for v, _ in constraints:
+        if len(v) != dim:
+            raise ValueError(f"vector {v!r} has length {len(v)}, expected {dim}")
     vecs, lin_rows = run(dim, constraints)
     lin = rref_primitive(lin_rows, dim)
     rays = set()

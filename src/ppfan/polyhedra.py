@@ -10,18 +10,24 @@ canonical data, which is what the golden tests rely on.
 The empty polyhedron is a value, not an error; operations that genuinely
 need a point (minimisation, Minkowski sums) raise on it.
 
+`common_refinement_fan` gives the quotient fan of a projection: the
+coarsest common refinement of the images of the orthant faces, on its
+support, found by walking from chamber to chamber.
+
 Conversions between the two descriptions run through the double description
 kernel in ``ppfan.dd``.  Polyhedra are homogenised with one extra trailing
 coordinate.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from ._vecops import dot, frac_str, is_zero, neg, scale_to_int, sign_canonical
 from .dd import dd_cone
-from .lattice import hnf_rows
+from .lattice import hnf_rows, matrix_rank, rational_left_inverse
 
 
 class LatticeMismatch(ValueError):
@@ -92,6 +98,8 @@ class Cone:
         return not self.eqs
 
     def contains(self, v):
+        if len(v) != self.dim_ambient:
+            raise ValueError(f"point {tuple(v)!r} has length {len(v)}, expected {self.dim_ambient}")
         return all(dot(a, v) >= 0 for a in self.ineqs) and all(dot(e, v) == 0 for e in self.eqs)
 
     def contains_cone(self, other):
@@ -664,51 +672,93 @@ class RefinementGuardExceeded(RuntimeError):
     pass
 
 
-def common_refinement_fan(pi, max_orthant_dim=16) -> Fan:
-    """Complete fan refining the images of the orthant faces under pi.
+# a generic point near p is searched at distances 2^-j for j below this bound
+_MAX_HALVINGS = 200
 
-    The chambers are cut out by every supporting hyperplane of every image
-    cone; each maximal cone is labelled with the orthant faces (as index
-    tuples) whose images contain it.  2^cols face images are enumerated, so
-    the domain dimension is guarded.
+
+def common_refinement_fan(pi, max_chambers=10000) -> Fan:
+    """Coarsest common refinement of the orthant-face images under pi, on its support.
+
+    The support is pi(orthant), the cone over the columns of pi, which must
+    have full row rank r.  The chamber of a point x of the support off every
+    wall is the intersection of all face images containing x; by
+    Caratheodory it is the intersection of the simplicial cones sigma_S over
+    the bases S (sets of r independent columns) that contain x.  The chambers
+    are found by a breadth-first walk from one generic point, stepping across
+    every facet that is not on the boundary of the support (Keicher,
+    *Computing the GIT-fan*).  Each step is checked: the chamber across is
+    full-dimensional and meets the old one in exactly the crossed facet.
+
+    Each maximal cone is labelled with the sorted tuple of the bases (column
+    index tuples) whose cones contain it.  The walk raises
+    RefinementGuardExceeded when it finds more than `max_chambers` chambers.
     """
-    l = pi.cols
-    r = pi.rows
-    if l > max_orthant_dim:
-        raise RefinementGuardExceeded(
-            f"{l} > {max_orthant_dim} orthant dimensions (override max_orthant_dim to force)")
     name = pi.codomain
-    cols = [pi.column(j) for j in range(l)]
-    images = {}
-    for mask in range(1 << l):
-        subset = tuple(i for i in range(l) if mask >> i & 1)
-        cone = Cone.from_rays(name, r, [cols[i] for i in subset])
-        images.setdefault(cone, []).append(subset)
-    hyps = set()
-    for cone in images:
-        for a in cone.ineqs:
-            hyps.add(sign_canonical(a))
-        for e in cone.eqs:
-            hyps.add(sign_canonical(e))
-    hyps = sorted(h for h in hyps if not is_zero(h))
+    r = pi.rows
+    cols = [pi.column(j) for j in range(pi.cols)]
+    bases = []  # (S, facet rows of sigma_S): the rows of the inverse of its column matrix
+    for S in combinations(range(pi.cols), r):
+        mat = tuple(tuple(cols[j][i] for j in S) for i in range(r))
+        if matrix_rank(mat) == r:
+            bases.append((S, tuple(scale_to_int(a) for a in rational_left_inverse(mat))))
+    if not bases:
+        raise ValueError(f"pi has rank {pi.rank()} < {r} rows: no full-dimensional chambers")
+    walls = {sign_canonical(a) for _, rows in bases for a in rows}
+    support = Cone.from_rays(name, r, cols)
+    cache = {}
 
-    cells = [Cone.from_ineqs(name, r, [])]
-    for h in hyps:
-        nxt = []
-        for c in cells:
-            plus = c.intersect(Cone.from_ineqs(name, r, [h]))
-            minus = c.intersect(Cone.from_ineqs(name, r, [neg(h)]))
-            if plus.dim == c.dim and minus.dim == c.dim and plus != minus:
-                nxt.extend([plus, minus])
-            else:
-                nxt.append(c)
-        cells = nxt
+    def label_of(x):
+        return tuple(S for S, rows in bases if all(dot(a, x) > 0 for a in rows))
 
-    labelled = []
-    for c in sorted(cells, key=lambda c: (c.rays, c.lineality)):
-        label = tuple(sorted(
-            s for cone, subsets in images.items() if cone.contains_cone(c) for s in subsets))
-        labelled.append((label, c))
+    def chamber(label):
+        if label not in cache:
+            rows = {a for S, rs in bases if S in label for a in rs}
+            cache[label] = Cone.from_ineqs(name, r, sorted(rows))
+        return cache[label]
+
+    def generic_near(p, d):
+        # p + eps*d + eps^2*(1, eps, eps^2, ...) at eps = 2^-j, scaled by
+        # 2^(j(r+1)) to integers: off every wall for all but finitely many
+        # eps, and on the d side of p for small eps
+        for j in range(_MAX_HALVINGS):
+            y = tuple((x << j * (r + 1)) + (dx << j * r) + (1 << j * (r - 1 - i))
+                      for i, (x, dx) in enumerate(zip(p, d)))
+            if all(dot(h, y) != 0 for h in walls):
+                yield y
+
+    def across(label, a):
+        # the chamber on the other side of the facet of chamber `label` on a.x = 0
+        c = cache[label]
+        facet = Cone.from_ineqs(name, r, c.ineqs, (a,))
+        for y in generic_near(facet.relative_interior_point(), neg(a)):
+            if dot(a, y) < 0 and (nxt := label_of(y)):
+                d = chamber(nxt)
+                if d.dim == r and d.contains_cone(facet) and c.intersect(d) == facet:
+                    return nxt
+        raise AssertionError(f"no chamber across the facet with rays {facet.rays}")
+
+    start = tuple(sum(cols[j][i] for j in bases[0][0]) for i in range(r))
+    first = next(filter(None, map(label_of, generic_near(start, (0,) * r))))
+    if chamber(first).dim != r:
+        raise AssertionError(f"starting chamber has dimension {chamber(first).dim} < {r}")
+    found = {first: None}  # insertion-ordered set
+    queue = deque(found)
+    crossed = set()  # (chamber label, facet row) pairs already walked
+    while queue:
+        label = queue.popleft()
+        for a in cache[label].ineqs:
+            # a facet row of the support marks a facet on the support's boundary
+            if (label, a) in crossed or a in support.ineqs:
+                continue
+            nxt = across(label, a)
+            crossed.add((nxt, neg(a)))
+            if nxt not in found:
+                if len(found) >= max_chambers:
+                    raise RefinementGuardExceeded(
+                        f"more than {max_chambers} chambers (override max_chambers to force)")
+                found[nxt] = None
+                queue.append(nxt)
+    labelled = sorted(((l, cache[l]) for l in found), key=lambda t: (t[1].rays, t[1].lineality))
     return Fan(name, r, tuple(labelled))
 
 

@@ -299,6 +299,7 @@ def test_11e_projectivized_coverage(capsys):
     rng = random.Random(2028)
     point_checks = 0
     setups = 0
+    skipped = []
     while point_checks < 200:
         cols = rng.randint(3, 4)
         top = tuple(rng.randint(-2, 2) for _ in range(cols))
@@ -308,7 +309,8 @@ def test_11e_projectivized_coverage(capsys):
         setup = chow.build_setup(deg)
         try:
             fansy = chow.projectivize(setup, chow.pp_from_weights(setup))
-        except ValueError:
+        except ValueError as exc:
+            skipped.append((top, str(exc)))
             continue
         setups += 1
         assert check_subdivision_structure(fansy).passed
@@ -319,5 +321,6 @@ def test_11e_projectivized_coverage(capsys):
                         if not d.coefficient(label).empty and d.coefficient(label).contains(x)]
                 assert len(hits) >= 1
             point_checks += 1
+    assert skipped == []
     with capsys.disabled():
         _report(f"11e coverage of projectivized divisors: {point_checks} points over {setups} setups")

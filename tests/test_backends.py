@@ -78,6 +78,13 @@ def test_dd_handles_duplicates_and_zero_rows():
     assert (rays1, lin1) == (rays2, lin2)
 
 
+def test_dd_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(1, 0, 7\)"):
+        dd.dd_cone(2, [(1, 0, 7)], [])
+    with pytest.raises(ValueError, match=r"\(1,\)"):
+        dd.dd_cone(2, [(1, 0)], [(1,)])
+
+
 def test_dd_order_independent():
     rng = random.Random(123)
     base = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 1), (-1, 3, 1)]

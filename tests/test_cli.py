@@ -63,6 +63,20 @@ def test_projectivize(capsys, weights_file):
     assert len(data["cells"]) == 3
 
 
+def test_ppdivisor_non_pointed_weights(capsys, tmp_path):
+    # pi(orthant) is a half-plane: two chambers, and every ray has a fiber
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"lattice_rank": 1, "weights": [[1], [-1], [1]]}))
+    code, out, err = run(capsys, "ppdivisor", "--weights", str(path))
+    assert code == 0, err
+    assert len(json.loads(out)["rays"]) == 3
+
+
+def test_max_chambers_guard_exit_2(capsys, weights_file):
+    code, out, err = run(capsys, "projectivize", "--weights", weights_file, "--max-chambers", "1")
+    assert code == 2 and out == "" and "chambers" in err
+
+
 def test_fansy_both(capsys):
     code, out, _ = run(capsys, "fansy", "--n", "4", "--method", "both")
     assert code == 0

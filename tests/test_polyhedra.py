@@ -1,9 +1,10 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ppfan.lattice import LatticeMap
@@ -296,10 +297,60 @@ def test_fiber_properties_randomized():
 
 # --- refinement fan --------------------------------------------------------
 
+def line_pi(points):
+    """pi for the weights (1, a_i): points a_i on a line."""
+    from ppfan.chow import build_setup
+    return build_setup(LatticeMap(((1,) * len(points), tuple(points)), "E", "M")).pi
+
+
+def _primitive(v):
+    g = 0
+    for x in v:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def check_chamber_fan(pi, fan, xs):
+    """The sampling oracle: the fan's cones are the chambers of pi on its support.
+
+    A point lies in some chamber iff it lies in the support; a point inside a
+    chamber has that chamber as the intersection of all 2^l orthant-face
+    images containing it; every chamber facet is shared with exactly one
+    other chamber or lies in a facet of the support.
+    """
+    name, r = pi.codomain, pi.rows
+    cols = [pi.column(j) for j in range(pi.cols)]
+    support = Cone.from_rays(name, r, cols)
+    images = [Cone.from_rays(name, r, [cols[j] for j in range(pi.cols) if mask >> j & 1])
+              for mask in range(1 << pi.cols)]
+    cones = fan.cones()
+    assert fan.is_fan()
+    assert all(c.dim == r for c in cones)
+    for x in xs:
+        hits = [c for c in cones if c.contains(x)]
+        assert bool(hits) == support.contains(x), x
+        inside = [c for c in hits if all(_dot(a, x) > 0 for a in c.ineqs)]
+        if inside:
+            assert len(hits) == 1
+            over = [im for im in images if im.contains(x)]
+            meet = Cone.from_ineqs(name, r, [a for im in over for a in im.ineqs],
+                                   [e for im in over for e in im.eqs])
+            assert meet == inside[0], x
+    for c in cones:
+        for f in c.facets():
+            on_boundary = any(all(_dot(h, g) == 0 for g in f.rays + f.lineality)
+                              for h in support.ineqs)
+            shared = [d for d in cones if d is not c and f.is_face_of(d)]
+            assert len(shared) == (0 if on_boundary else 1), f.rays
+
+
 def test_refinement_identity_quadrants():
+    # the support pi(orthant) is the first quadrant itself: one chamber
     fan = common_refinement_fan(LatticeMap(((1, 0), (0, 1)), "E", "N"))
-    assert len(fan.maximal) == 4
-    assert fan.is_complete() and fan.is_fan()
+    assert len(fan.maximal) == 1
+    assert fan.rays() == ((0, 1), (1, 0))
+    assert fan.labels() == [((0, 1),)]
+    assert fan.is_fan()
 
 
 def test_refinement_row_map():
@@ -309,25 +360,66 @@ def test_refinement_row_map():
 
 
 def test_refinement_guard():
-    wide = LatticeMap((tuple(1 for _ in range(17)),), "E", "N")
+    line = line_pi(range(7))
     with pytest.raises(RefinementGuardExceeded):
-        common_refinement_fan(wide)
-    common_refinement_fan(wide, max_orthant_dim=17)
+        common_refinement_fan(line, max_chambers=31)
+    assert len(common_refinement_fan(line, max_chambers=32).maximal) == 32
 
 
 def test_refinement_point_location_randomized():
     rng = random.Random(41)
     pi = LatticeMap(((1, -1, 0, 2), (0, 1, 1, -1)), "E", "N")
     fan = common_refinement_fan(pi)
-    assert fan.is_complete()
-    for _ in range(200):
-        x = (F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
-        hits = [c for _, c in fan.maximal if c.contains(x)]
-        assert len(hits) >= 1
-        interior = [c for c in hits
-                    if all(sum(a * b for a, b in zip(row, x)) > 0 for row in c.ineqs)]
-        if interior:
-            assert len(hits) == 1
+    xs = [(F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
+          for _ in range(200)]
+    check_chamber_fan(pi, fan, xs)
+
+
+@pytest.mark.parametrize("l", [5, 6, 7])
+def test_refinement_line_is_cube_fan(l):
+    # points a_i on a line: the chamber fan is the normal fan of an
+    # (l-2)-cube; its rays are the images of the heights raising interior
+    # point j (e_j) and bending at it (max(0, a_i - a_j))
+    points = [3 * i - 4 for i in range(l)]
+    pi = line_pi(points)
+    fan = common_refinement_fan(pi)
+    want = set()
+    for j in range(1, l - 1):
+        for h in ([int(i == j) for i in range(l)], [max(0, a - points[j]) for a in points]):
+            want.add(_primitive([sum(r[i] * h[i] for i in range(l)) for r in pi.entries]))
+    assert len(fan.maximal) == 2 ** (l - 2)
+    assert set(fan.rays()) == want and len(want) == 2 * (l - 2)
+
+
+def test_refinement_independent_of_column_order():
+    rng = random.Random(7)
+    for pi in (line_pi(range(6)), LatticeMap(((1, -1, 0, 2, 1), (0, 1, 1, -1, 2)), "E", "N")):
+        order = list(range(pi.cols))
+        rng.shuffle(order)
+        moved = LatticeMap(tuple(tuple(row[j] for j in order) for row in pi.entries),
+                           pi.domain, pi.codomain)
+        assert set(common_refinement_fan(moved).cones()) == set(common_refinement_fan(pi).cones())
+
+
+@st.composite
+def full_rank_maps(draw):
+    r = draw(st.integers(1, 3))
+    l = draw(st.integers(r, 6))
+    rows = tuple(tuple(draw(st.lists(_ints, min_size=l, max_size=l))) for _ in range(r))
+    pi = LatticeMap(rows, "E", "N")
+    assume(pi.rank() == r)
+    return pi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(full_rank_maps(), st.data())
+def test_refinement_sampling_oracle(pi, data):
+    fan = common_refinement_fan(pi)
+    xs = data.draw(st.lists(st.tuples(*[_rats] * pi.rows), min_size=8, max_size=8))
+    # the fan's own rays and cone centres exercise boundaries and interiors
+    xs += list(fan.rays()) + [c.relative_interior_point() for c in fan.cones()]
+    check_chamber_fan(pi, fan, xs)
 
 
 # --- induced subdivisions --------------------------------------------------
@@ -404,6 +496,19 @@ def test_cone_from_rays_rejects_wrong_length():
         Cone.from_rays("A", 2, [(1, 0), (1, 2, 3)])
     with pytest.raises(ValueError, match="lineality"):
         Cone.from_rays("A", 2, [], [(1,)])
+
+
+def test_cone_contains_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"\(1, 1, -5\)"):
+        Cone.from_rays("A", 2, [(1, 0), (0, 1)]).contains((1, 1, -5))
+
+
+def test_floats_rejected():
+    with pytest.raises(ValueError, match="0.5"):
+        Polyhedron.from_generators("A", 1, [(0.5,)])
+    # Fractions, integral ones included, still go through
+    assert Polyhedron.from_generators("A", 1, [(F(4, 2),), (F(1, 3),)]).vertices == \
+        ((F(1, 3),), (F(2),))
 
 
 def test_cone_from_ineqs_rejects_wrong_length():
