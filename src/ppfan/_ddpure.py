@@ -7,23 +7,7 @@ All arithmetic is arbitrary-precision integer; output is raw (canonicalised
 by the caller).
 """
 
-from math import gcd
-
-
-def _dot(a, b):
-    s = 0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
-
-
-def _prim(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g in (0, 1):
-        return tuple(v)
-    return tuple(x // g for x in v)
+from ._vecops import dot, primitive
 
 
 def process(dim, constraints):
@@ -42,7 +26,7 @@ def process(dim, constraints):
     for a, is_eq in constraints:
         if all(x == 0 for x in a):
             continue
-        lvals = [_dot(a, l) for l in lin]
+        lvals = [dot(a, l) for l in lin]
         p = next((i for i, v in enumerate(lvals) if v != 0), None)
         if p is not None:
             l0 = lin.pop(p)
@@ -51,28 +35,28 @@ def process(dim, constraints):
                 l0 = tuple(-x for x in l0)
                 v0 = -v0
             lin = [
-                l if lv == 0 else _prim(tuple(v0 * x - lv * y for x, y in zip(l, l0)))
+                l if lv == 0 else primitive(tuple(v0 * x - lv * y for x, y in zip(l, l0)))
                 for l, lv in zip(lin, lvals)
             ]
             new_vecs = []
             for r in vecs:
-                rv = _dot(a, r)
+                rv = dot(a, r)
                 if rv == 0:
                     new_vecs.append(r)
                 else:
-                    new_vecs.append(_prim(tuple(v0 * x - rv * y for x, y in zip(r, l0))))
+                    new_vecs.append(primitive(tuple(v0 * x - rv * y for x, y in zip(r, l0))))
             vecs = new_vecs
             if is_eq:
                 continue
             # all surviving rays are tight on this inequality; l0 is not
             bit = 1 << nbit
             zsets = [z | bit for z in zsets]
-            vecs.append(_prim(l0))
+            vecs.append(primitive(l0))
             zsets.append((1 << nbit) - 1)
             nbit += 1
             continue
 
-        vals = [_dot(a, r) for r in vecs]
+        vals = [dot(a, r) for r in vecs]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         negi = [i for i, v in enumerate(vals) if v < 0]
@@ -102,7 +86,7 @@ def process(dim, constraints):
                     continue
                 vj = vals[j]
                 rj = vecs[j]
-                w = _prim(tuple(vi * x - vj * y for x, y in zip(rj, ri)))
+                w = primitive(tuple(vi * x - vj * y for x, y in zip(rj, ri)))
                 combo_v.append(w)
                 combo_z.append(m)
 

@@ -6,25 +6,16 @@ floats anywhere.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def dot(a, b):
-    s = 0
-    for x, y in zip(a, b):
-        s += x * y
-    return s
-
-
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return sum(map(mul, a, b))
 
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g in (0, 1):
         return tuple(v)
     return tuple(x // g for x in v)
@@ -52,7 +43,7 @@ def scale_to_int(v):
             raise ValueError(f"{x!r} in {tuple(v)!r} is not an int or a Fraction")
     if lcm == 1:
         return primitive(tuple(int(x) for x in v))
-    return primitive(tuple(int(x * lcm) for x in v))
+    return primitive(tuple(x.numerator * (lcm // x.denominator) for x in v))
 
 
 def frac_str(x):

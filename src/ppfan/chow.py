@@ -148,7 +148,10 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
     if rays is None:
         fan = common_refinement_fan(pi, max_chambers=max_chambers)
         rays = fan.rays()
-    rays = [tuple(int(x) for x in c) for c in rays]
+    rays = [tuple(c) for c in rays]
+    for c in rays:
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in c):
+            raise ValueError(f"ray {c!r} must have integer entries")
     if not rays:
         raise ValueError("no rays: the recipe degenerates (trivial quotient)")
     if retraction is None:

@@ -40,6 +40,23 @@ def load_weights(path):
     return LatticeMap(rows, "E", "M")
 
 
+def load_rays(path, rank):
+    """The rays of a ray file: a nonempty list of integer lists of `rank` entries.
+
+    ValueError naming the first ray that breaks the rule.
+    """
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, list) or not data:
+        raise ValueError("ray file must hold a nonempty list of rays")
+    for r in data:
+        if not isinstance(r, list) or len(r) != rank:
+            raise ValueError(f"every ray must have {rank} entries, got {r!r}")
+        if not all(_is_int(x) for x in r):
+            raise ValueError(f"ray entries must be integers, got {r!r}")
+    return [tuple(r) for r in data]
+
+
 def emit(obj):
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -73,10 +90,7 @@ def cmd_setup(args):
 
 def cmd_ppdivisor(args):
     setup = build_setup(load_weights(args.weights))
-    rays = None
-    if args.rays:
-        with open(args.rays) as fh:
-            rays = [tuple(r) for r in json.load(fh)]
+    rays = load_rays(args.rays, setup.pi.rows) if args.rays else None
     recipe = pp_from_weights(setup, rays=rays, max_chambers=args.max_chambers)
     out = recipe.divisor.to_json()
     out["rays"] = [{"label": l.to_json(), "ray": list(c)} for l, c in recipe.rays]

@@ -4,11 +4,15 @@ The hot constraint-processing loop exists twice: a Cython extension
 (`ppfan._ddcore`) and a pure Python twin (`ppfan._ddpure`) with identical
 semantics.  The compiled one is picked when importable; set
 ``PPFAN_BACKEND=python`` or ``PPFAN_BACKEND=compiled`` to force a choice.
+
+`dd_cone` turns one description of a cone into the other.  `dd_pair` gives
+both canonical descriptions from one DD run: the second is read off the
+incidence between the computed rays and the input rows.
 """
 
 import os
 
-from ._vecops import is_zero, reduce_mod_rows_int, rref_primitive
+from ._vecops import dot, is_zero, primitive, reduce_mod_rows_int, rref_primitive
 
 _choice = os.environ.get("PPFAN_BACKEND", "auto").lower()
 
@@ -54,3 +58,35 @@ def dd_cone(dim, ineqs, eqs, process=None):
         # the loop already keeps rays primitive; nothing to reduce
         rays.update(v for v in vecs if not is_zero(v))
     return tuple(sorted(rays)), lin
+
+
+def dd_pair(dim, ineqs, eqs, process=None):
+    """Both canonical descriptions of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
+
+    Returns (rays, lineality, facets, equations).  The first two are
+    `dd_cone(dim, ineqs, eqs)`; the last two equal `dd_cone(dim, rays,
+    lineality)`, the canonical description of the polar cone, but come from
+    the incidence of the rays with the input rows instead of a second run
+    (Fukuda & Prodon, *Double description method revisited*).  A row tight on
+    every ray is an implicit equation, and the equations span the input
+    equations and the implicit ones.  The facets are the other rows whose
+    sets of tight rays are inclusion-maximal, reduced modulo the equations;
+    rows with the same set give the same facet.
+
+    By duality, generators give the other direction: `dd_pair(dim, rays,
+    lineality)` returns (facets, equations, extreme rays, lineality).
+    """
+    rays, lin = dd_cone(dim, ineqs, eqs, process)
+    full = (1 << len(rays)) - 1
+    masks = {}  # nonzero row -> bitmask of the rays it is tight on
+    for a in map(tuple, ineqs):
+        if a not in masks and not is_zero(a):
+            masks[a] = sum(1 << i for i, r in enumerate(rays) if dot(a, r) == 0)
+    equations = rref_primitive(list(eqs) + [a for a, m in masks.items() if m == full], dim)
+    proper = {m for m in masks.values() if m != full}
+    maximal = {m for m in proper if not any(m != n and m & n == m for n in proper)}
+    # rows with the same maximal mask define the same facet: reduce one of them
+    facet_rows = {m: a for a, m in masks.items() if m in maximal}
+    facets = [reduce_mod_rows_int(a, equations) if equations else primitive(a)
+              for a in facet_rows.values()]
+    return rays, lin, tuple(sorted(facets)), equations

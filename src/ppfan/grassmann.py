@@ -18,8 +18,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from ._vecops import primitive, vec_gcd
+from ._vecops import primitive
 from .chow import (
     build_setup,
     positive_fiber,
@@ -332,7 +333,7 @@ def partition_ray(n, part):
     c2 = setup.pi.apply(pair_vector(n, B.complement))
     if c1 != c2:
         raise AssertionError("the two parts give different rays")
-    g = vec_gcd(c1)
+    g = gcd(*c1)
     return c1, primitive(c1), g if g else 1
 
 

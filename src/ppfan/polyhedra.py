@@ -14,9 +14,10 @@ need a point (minimisation, Minkowski sums) raise on it.
 coarsest common refinement of the images of the orthant faces, on its
 support, found by walking from chamber to chamber.
 
-Conversions between the two descriptions run through the double description
-kernel in ``ppfan.dd``.  Polyhedra are homogenised with one extra trailing
-coordinate.
+Each conversion between the two descriptions is one run of the double
+description kernel (``ppfan.dd.dd_pair``); the description that run does not
+compute is read off the incidence between the rays it finds and the input
+rows.  Polyhedra are homogenised with one extra trailing coordinate.
 """
 
 from collections import deque
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
-from ._vecops import dot, frac_str, is_zero, neg, scale_to_int, sign_canonical
-from .dd import dd_cone
+from ._vecops import dot, frac_str, is_zero, neg, primitive, scale_to_int, sign_canonical
+from .dd import dd_pair
 from .lattice import hnf_rows, matrix_rank, rational_left_inverse
 
 
@@ -67,11 +69,8 @@ class Cone:
         _check_lengths(dim_ambient, lineality, "lineality vector")
         rays = [scale_to_int(tuple(r)) for r in rays]
         lineality = [scale_to_int(tuple(l)) for l in lineality]
-        # facets and span equations come from the polar cone
-        pol_rays, pol_lin = dd_cone(dim_ambient, rays, lineality)
-        ineqs = tuple(r for r in pol_rays if not is_zero(r))
-        eqs = pol_lin
-        c_rays, c_lin = dd_cone(dim_ambient, ineqs, eqs)
+        # on generators dd_pair gives the facets and span equations first
+        ineqs, eqs, c_rays, c_lin = dd_pair(dim_ambient, rays, lineality)
         return Cone(ambient, dim_ambient, c_rays, c_lin, ineqs, eqs)
 
     @staticmethod
@@ -80,10 +79,8 @@ class Cone:
         _check_lengths(dim_ambient, eqs, "equation")
         ineqs = [scale_to_int(tuple(a)) for a in ineqs]
         eqs = [scale_to_int(tuple(e)) for e in eqs]
-        rays, lin = dd_cone(dim_ambient, ineqs, eqs)
-        pol_rays, pol_lin = dd_cone(dim_ambient, rays, lin)
-        c_ineqs = tuple(r for r in pol_rays if not is_zero(r))
-        return Cone(ambient, dim_ambient, rays, lin, c_ineqs, pol_lin)
+        rays, lin, c_ineqs, c_eqs = dd_pair(dim_ambient, ineqs, eqs)
+        return Cone(ambient, dim_ambient, rays, lin, c_ineqs, c_eqs)
 
     @property
     def dim(self):
@@ -214,7 +211,10 @@ class Polyhedron:
         _check_lengths(dim_ambient, (a for a, _ in eqs), "equation normal")
         hom_ineqs = [_hom_row(a, b) for a, b in ineqs]
         hom_eqs = [_hom_row(a, b) for a, b in eqs]
-        return _poly_from_hom(ambient, dim_ambient, hom_ineqs, hom_eqs)
+        # x0 >= 0 keeps the homogenisation cone on the side of the polyhedron
+        last = tuple(0 for _ in range(dim_ambient)) + (1,)
+        rays, lin, facets, equations = dd_pair(dim_ambient + 1, hom_ineqs + [last], hom_eqs)
+        return _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations)
 
     @staticmethod
     def from_generators(ambient, dim_ambient, vertices=(), rays=(), lineality=()):
@@ -226,10 +226,8 @@ class Polyhedron:
         gens = [scale_to_int(tuple(v) + (1,)) for v in vertices]
         gens += [scale_to_int(tuple(r)) + (0,) for r in rays]
         lin = [scale_to_int(tuple(l)) + (0,) for l in lineality]
-        pol_rays, pol_lin = dd_cone(dim_ambient + 1, gens, lin)
-        hom_ineqs = [r for r in pol_rays if not is_zero(r[:-1])]
-        hom_eqs = [r for r in pol_lin if not is_zero(r[:-1])]
-        return _poly_from_hom(ambient, dim_ambient, hom_ineqs, hom_eqs)
+        facets, equations, rays, lin = dd_pair(dim_ambient + 1, gens, lin)
+        return _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations)
 
     @property
     def dim(self):
@@ -329,9 +327,13 @@ def _hom_row(a, b):
     return scale_to_int(tuple(a) + (-Fraction(b),))
 
 
-def _poly_from_hom(ambient, dim_ambient, hom_ineqs, hom_eqs):
-    last = tuple(0 for _ in range(dim_ambient)) + (1,)
-    rays, lin = dd_cone(dim_ambient + 1, list(hom_ineqs) + [last], hom_eqs)
+def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
+    """The polyhedron from both canonical descriptions of its homogenisation cone.
+
+    Rays with x0 > 0 are the vertices, the others the tail rays; a facet or
+    equation (a, c) means a.x + c*x0 >= 0 (or = 0), stored as a.x >= -c.  The
+    face x0 = 0 is the recession cone, not a facet of the polyhedron.
+    """
     verts = []
     tails = []
     for r in rays:
@@ -341,29 +343,16 @@ def _poly_from_hom(ambient, dim_ambient, hom_ineqs, hom_eqs):
             tails.append(r[:-1])
     if not verts:
         return Polyhedron.empty_in(ambient, dim_ambient)
-    lin_rows = tuple(l[:-1] for l in lin)
-    # canonical H-description via the polar of the homogenisation cone;
-    # a polar ray (a, c) means a.x + c*x0 >= 0, stored as a.x >= -c
-    gens = [scale_to_int(v + (1,)) for v in verts]
-    gens += [t + (0,) for t in tails]
-    pol_rays, pol_lin = dd_cone(dim_ambient + 1, gens, [l + (0,) for l in lin_rows])
-    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in pol_rays if not is_zero(r[:-1])))
-    eqs = tuple(r[:-1] + (-r[-1],) for r in pol_lin if not is_zero(r[:-1]))
+    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in facets if not is_zero(r[:-1])))
+    eqs = tuple(r[:-1] + (-r[-1],) for r in equations if not is_zero(r[:-1]))
     return Polyhedron(
         ambient, dim_ambient, False,
         vertices=tuple(sorted(verts)),
         rays=tuple(sorted(tails)),
-        lineality=lin_rows,
+        lineality=tuple(l[:-1] for l in lin),
         ineqs=ineqs,
-        eqs=hnf_like_rows(eqs),
+        eqs=hnf_rows(eqs, dim_ambient + 1) if eqs else (),
     )
-
-
-def hnf_like_rows(rows):
-    """Canonicalise equation rows (integer, primitive) by HNF of their span."""
-    if not rows:
-        return ()
-    return hnf_rows(rows, len(rows[0]))
 
 
 def _gens_in(q, points, lines):
@@ -456,22 +445,26 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def linear_image(p: Polyhedron, entries, codomain, dim_codomain) -> Polyhedron:
-    """Image of p under the (rational) matrix acting on column vectors."""
+    """Image of p under the (rational) matrix acting on column vectors.
+
+    The arithmetic is on integers: with q the common denominator of the
+    entries, a homogeneous vertex (N, D) of p maps to (q*entries) N / (q D),
+    and rays and lines map to primitive multiples of their images.
+    """
     if p.empty:
         return Polyhedron.empty_in(codomain, dim_codomain)
-    verts = [tuple(sum(Fraction(row[j]) * v[j] for j in range(len(v))) for row in entries)
-             for v in p.vertices]
-    rays = []
-    for r in p.rays:
-        img = tuple(sum(Fraction(row[j]) * r[j] for j in range(len(r))) for row in entries)
-        if not is_zero(img):
-            rays.append(scale_to_int(img))
-    lin = []
-    for l in p.lineality:
-        img = tuple(sum(Fraction(row[j]) * l[j] for j in range(len(l))) for row in entries)
-        if not is_zero(img):
-            lin.append(scale_to_int(img))
-    return Polyhedron.from_generators(codomain, dim_codomain, verts, rays, lin)
+    q = lcm(*(x.denominator for row in entries for x in row))
+    mat = [tuple(x.numerator * (q // x.denominator) for x in row) for row in entries]
+    verts, rays, lin = p._hom_gens
+    images = []
+    for v in verts:
+        qd = q * v[-1]
+        images.append(tuple(Fraction(dot(row, v[:-1]), qd) for row in mat))
+    rays = [primitive(tuple(dot(row, r[:-1]) for row in mat)) for r in rays]
+    lin = [primitive(tuple(dot(row, l[:-1]) for row in mat)) for l in lin]
+    return Polyhedron.from_generators(codomain, dim_codomain, images,
+                                      [r for r in rays if not is_zero(r)],
+                                      [l for l in lin if not is_zero(l)])
 
 
 def map_image(p: Polyhedron, f) -> Polyhedron:

@@ -183,7 +183,13 @@ def check_local_chart(n):
 
 
 def run_battery(n):
-    """All checks applicable at this n, as (name, passed, detail) triples."""
+    """All checks applicable at this n, as (name, passed, detail) triples.
+
+    Raises ValueError for n < 4, before any check runs: the battery is about
+    Gr(2,n) for n >= 4, and below that its checks pass vacuously or fail.
+    """
+    if n < 4:
+        raise ValueError("need n >= 4")
     checks = [
         (f"two-route agreement n={n}", lambda: check_two_routes(n)),
         (f"edge endpoints n={n}", lambda: check_edge_endpoints(n)),

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ppfan.dd as dd
 from ppfan._ddpure import process as pure_process
@@ -93,3 +95,70 @@ def test_dd_order_independent():
         shuffled = base[:]
         rng.shuffle(shuffled)
         assert dd.dd_cone(3, shuffled, []) == expect
+
+
+# --- both descriptions from one run -----------------------------------------
+#
+# The reference for the second description is the second DD run that
+# `dd_pair` replaces: the polar cone of the computed rays and lineality.
+
+HYP = settings(max_examples=400, deadline=None, derandomize=True, database=None,
+               suppress_health_check=[HealthCheck.too_slow])
+
+
+def second_pass(dim, rays, lin):
+    return dd.dd_cone(dim, rays, lin)
+
+
+@st.composite
+def cone_systems(draw):
+    """(dim, ineqs, eqs) with duplicate rows, zero rows and implicit equations."""
+    d = draw(st.integers(0, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * d)
+    ineqs = draw(st.lists(vec, max_size=6))
+    for a in draw(st.lists(vec, max_size=2)):
+        ineqs += [a, tuple(-x for x in a)]  # a.x = 0 is implicit
+    if ineqs:
+        ineqs += draw(st.lists(st.sampled_from(ineqs), max_size=2))
+    if draw(st.booleans()):
+        ineqs.append((0,) * d)
+    ineqs = draw(st.permutations(ineqs))
+    eqs = draw(st.lists(vec, max_size=2))
+    return d, ineqs, eqs
+
+
+@HYP
+@given(cone_systems())
+def test_dd_pair_matches_second_pass(system):
+    d, ineqs, eqs = system
+    rays, lin, facets, equations = dd.dd_pair(d, ineqs, eqs)
+    assert (rays, lin) == dd.dd_cone(d, ineqs, eqs)
+    assert (facets, equations) == second_pass(d, rays, lin)
+
+
+@HYP
+@given(cone_systems())
+def test_dd_pair_on_generators_matches_two_runs(system):
+    # generators with repeats, zero vectors and opposite pairs (lines)
+    d, gens, lin = system
+    facets, equations, rays, c_lin = dd.dd_pair(d, gens, lin)
+    assert (facets, equations) == dd.dd_cone(d, gens, lin)
+    assert (rays, c_lin) == second_pass(d, facets, equations)
+
+
+@pytest.mark.parametrize("d, ineqs, eqs", [
+    (0, [], []),
+    (0, [()], [()]),
+    (2, [], []),
+    (2, [(1, 0), (-1, 0), (0, 1), (0, -1)], []),
+    (3, [(1, 0, 0), (-1, 0, 0)], [(0, 1, 1)]),
+    (3, [(1, 0, 0), (1, 0, 0), (0, 0, 0), (2, 0, 0)], []),
+    (3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)], []),
+    (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)], [(1, -1, 0, 1)]),
+], ids=["d0", "d0-zero-rows", "whole-space", "no-rays", "implicit-and-lineality",
+        "duplicates-and-zero", "redundant-row", "equation"])
+def test_dd_pair_edge_cases(d, ineqs, eqs):
+    rays, lin, facets, equations = dd.dd_pair(d, ineqs, eqs)
+    assert (rays, lin) == dd.dd_cone(d, ineqs, eqs)
+    assert (facets, equations) == second_pass(d, rays, lin)
+

@@ -193,3 +193,11 @@ def test_fibers_are_cached():
     f1 = positive_fiber(setup.pi, (1,))
     f2 = positive_fiber(setup.pi, (1,))
     assert f1 is f2
+
+
+@pytest.mark.parametrize("rays", [[(1.7,), (-1,)], [(F(1),), (-1,)], [(True,), (-1,)]],
+                         ids=["float", "fraction", "bool"])
+def test_recipe_rejects_non_integer_rays(rays):
+    setup = weighted_line_setup(*CASES[0])
+    with pytest.raises(ValueError, match="integer entries"):
+        pp_from_weights(setup, rays=rays)

@@ -159,3 +159,32 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "fansy", "--n", "4", "--method", "closed")
     _, out2, _ = run(capsys, "fansy", "--n", "4", "--method", "closed")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("rays, needle", [
+    ([[1.7], [-1]], "1.7"),
+    ([[True], [-1]], "True"),
+    ([[1, 0], [-1]], "[1, 0]"),
+    ([], "nonempty"),
+], ids=["float", "bool", "wrong-length", "empty"])
+def test_bad_ray_file_exit_2(capsys, tmp_path, weights_file, rays, needle):
+    bad = tmp_path / "rays.json"
+    bad.write_text(json.dumps(rays))
+    code, out, err = run(capsys, "ppdivisor", "--weights", weights_file, "--rays", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err
+
+
+def test_ray_file_accepted(capsys, tmp_path, weights_file):
+    good = tmp_path / "rays.json"
+    good.write_text(json.dumps([[1], [-1]]))
+    code, out, _ = run(capsys, "ppdivisor", "--weights", weights_file, "--rays", str(good))
+    assert code == 0
+    assert sorted(r["ray"] for r in json.loads(out)["rays"]) == [[-1], [1]]
+
+
+@pytest.mark.parametrize("n", ["3", "2", "0", "-1"])
+def test_verify_small_n_exit_2(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n)
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 4\n"

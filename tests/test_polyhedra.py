@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ppfan.lattice import LatticeMap
+from ppfan._vecops import is_zero, scale_to_int
+from ppfan.dd import dd_cone
+from ppfan.lattice import LatticeMap, RationalMap, hnf_rows
 from ppfan.polyhedra import (
     Cone,
     Polyhedron,
@@ -23,6 +25,7 @@ from ppfan.polyhedra import (
     induced_subdivision,
     intersect,
     linear_image,
+    map_image,
     min_value,
     minkowski_sum,
 )
@@ -724,3 +727,127 @@ def test_coverage_matches_rebuild(points, data):
     dim = 2 if support is None else support.dim
     maximal = list(enumerate(sub.maximal_cells()))
     assert sub._coverage_findings(maximal, dim) == ref_coverage_findings(sub, maximal, dim)
+
+
+# --- one DD run per conversion, against the multi-run definitions -----------
+#
+# The references are the constructors as they were before each conversion
+# read its second description off the ray-row incidence: Cone.from_rays and
+# Cone.from_ineqs ran DD twice, Polyhedron.from_halfspaces twice and
+# Polyhedron.from_generators three times; linear_image mapped the vertices in
+# Fraction arithmetic.
+
+
+def ref_cone_from_rays(ambient, d, rays, lin=()):
+    rays = [scale_to_int(tuple(r)) for r in rays]
+    lin = [scale_to_int(tuple(l)) for l in lin]
+    ineqs, eqs = dd_cone(d, rays, lin)
+    return Cone(ambient, d, *dd_cone(d, ineqs, eqs), ineqs, eqs)
+
+
+def ref_cone_from_ineqs(ambient, d, ineqs, eqs=()):
+    ineqs = [scale_to_int(tuple(a)) for a in ineqs]
+    eqs = [scale_to_int(tuple(e)) for e in eqs]
+    rays, lin = dd_cone(d, ineqs, eqs)
+    return Cone(ambient, d, rays, lin, *dd_cone(d, rays, lin))
+
+
+def ref_poly_from_hom(ambient, d, hom_ineqs, hom_eqs):
+    last = (0,) * d + (1,)
+    rays, lin = dd_cone(d + 1, list(hom_ineqs) + [last], hom_eqs)
+    verts = [tuple(F(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0]
+    tails = [r[:-1] for r in rays if r[-1] <= 0]
+    if not verts:
+        return Polyhedron.empty_in(ambient, d)
+    lin_rows = tuple(l[:-1] for l in lin)
+    gens = [scale_to_int(v + (1,)) for v in verts] + [t + (0,) for t in tails]
+    pol_rays, pol_lin = dd_cone(d + 1, gens, [l + (0,) for l in lin_rows])
+    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in pol_rays if not is_zero(r[:-1])))
+    eqs = tuple(r[:-1] + (-r[-1],) for r in pol_lin if not is_zero(r[:-1]))
+    return Polyhedron(ambient, d, False, tuple(sorted(verts)), tuple(sorted(tails)),
+                      lin_rows, ineqs, hnf_rows(eqs, d + 1) if eqs else ())
+
+
+def ref_from_halfspaces(ambient, d, ineqs, eqs=()):
+    return ref_poly_from_hom(ambient, d, [scale_to_int(tuple(a) + (-F(b),)) for a, b in ineqs],
+                             [scale_to_int(tuple(a) + (-F(b),)) for a, b in eqs])
+
+
+def ref_from_generators(ambient, d, verts, rays=(), lin=()):
+    if not verts:
+        return Polyhedron.empty_in(ambient, d)
+    gens = [scale_to_int(tuple(v) + (1,)) for v in verts]
+    gens += [scale_to_int(tuple(r)) + (0,) for r in rays]
+    pol_rays, pol_lin = dd_cone(d + 1, gens, [scale_to_int(tuple(l)) + (0,) for l in lin])
+    return ref_poly_from_hom(ambient, d, [r for r in pol_rays if not is_zero(r[:-1])],
+                             [r for r in pol_lin if not is_zero(r[:-1])])
+
+
+def ref_linear_image(p, entries, codomain, m):
+    if p.empty:
+        return Polyhedron.empty_in(codomain, m)
+
+    def image(v):
+        return tuple(sum(F(row[j]) * v[j] for j in range(len(v))) for row in entries)
+
+    verts = [image(v) for v in p.vertices]
+    rays = [scale_to_int(image(r)) for r in p.rays if not is_zero(image(r))]
+    lin = [scale_to_int(image(l)) for l in p.lineality if not is_zero(image(l))]
+    return Polyhedron.from_generators(codomain, m, verts, rays, lin)
+
+
+@st.composite
+def row_systems(draw, entries=_ints):
+    """(d, rows, eq rows) with d <= 4, duplicate rows, zero rows and opposite pairs."""
+    d = draw(st.integers(0, 4))
+    rows = draw(_vectors(entries, d, max_size=5))
+    for a in draw(_vectors(_ints, d, max_size=2)):
+        rows += [a, tuple(-x for x in a)]
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows.append((0,) * d)
+    return d, draw(st.permutations(rows)), draw(_vectors(entries, d, max_size=2))
+
+
+@HYP
+@given(row_systems(entries=st.one_of(_ints, _rats)))
+def test_cone_constructors_match_two_runs(system):
+    d, rows, eqs = system
+    assert Cone.from_ineqs("Q", d, rows, eqs) == ref_cone_from_ineqs("Q", d, rows, eqs)
+    rays = [r for r in rows if any(r)]
+    lin = [l for l in eqs if any(l)]
+    assert Cone.from_rays("Q", d, rays, lin) == ref_cone_from_rays("Q", d, rays, lin)
+
+
+@HYP
+@given(row_systems(), st.data())
+def test_from_halfspaces_matches_two_runs(system, data):
+    d, rows, eqs = system
+    ineqs = [(a, data.draw(_rats)) for a in rows]
+    eqs = [(e, data.draw(_rats)) for e in eqs]
+    assert (Polyhedron.from_halfspaces("Q", d, ineqs, eqs)
+            == ref_from_halfspaces("Q", d, ineqs, eqs))
+
+
+@HYP
+@given(st.integers(0, 4), st.data())
+def test_from_generators_matches_three_runs(d, data):
+    verts = data.draw(_vectors(_rats, d, max_size=4))
+    verts += data.draw(st.lists(st.sampled_from(verts), max_size=2)) if verts else []
+    rays = data.draw(_vectors(_ints, d, max_size=3))
+    lin = data.draw(_vectors(_ints, d, max_size=2))
+    assert (Polyhedron.from_generators("Q", d, verts, rays, lin)
+            == ref_from_generators("Q", d, verts, rays, lin))
+
+
+@HYP
+@given(st.integers(1, 4), st.data())
+def test_linear_image_matches_fraction_version(d, data):
+    p = data.draw(polyhedra(d))
+    m = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        f = LatticeMap(data.draw(_vectors(_ints, d, min_size=m, max_size=m)), "Q", "B", d)
+    else:
+        f = RationalMap(data.draw(_vectors(_rats, d, min_size=m, max_size=m)), "Q", "B", d)
+    assert map_image(p, f) == ref_linear_image(p, f.entries, "B", m)
