@@ -132,6 +132,16 @@ class RecipeDivisor:
         raise KeyError(label)
 
 
+def _integer_ray(c):
+    """`c` as a tuple of ints; ints and integral Fractions pass, anything else
+    (floats, bools, proper fractions) is a ValueError naming the ray."""
+    c = tuple(c)
+    if not all((isinstance(x, int) and not isinstance(x, bool))
+               or (isinstance(x, Fraction) and x.denominator == 1) for x in c):
+        raise ValueError(f"ray {c!r} must have integer entries")
+    return tuple(int(x) for x in c)
+
+
 def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, labels=None,
                     max_chambers=10000) -> RecipeDivisor:
     """Coefficient per fan ray: the positive fiber shifted into the dual space.
@@ -148,10 +158,7 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
     if rays is None:
         fan = common_refinement_fan(pi, max_chambers=max_chambers)
         rays = fan.rays()
-    rays = [tuple(c) for c in rays]
-    for c in rays:
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in c):
-            raise ValueError(f"ray {c!r} must have integer entries")
+    rays = [_integer_ray(c) for c in rays]
     if not rays:
         raise ValueError("no rays: the recipe degenerates (trivial quotient)")
     if retraction is None:

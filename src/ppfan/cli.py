@@ -41,9 +41,10 @@ def load_weights(path):
 
 
 def load_rays(path, rank):
-    """The rays of a ray file: a nonempty list of integer lists of `rank` entries.
+    """The rays of a ray file: a nonempty list of lists of `rank` entries.
 
-    ValueError naming the first ray that breaks the rule.
+    ValueError naming the first ray of the wrong shape; `pp_from_weights`
+    rejects the rays whose entries are not integers.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -52,8 +53,6 @@ def load_rays(path, rank):
     for r in data:
         if not isinstance(r, list) or len(r) != rank:
             raise ValueError(f"every ray must have {rank} entries, got {r!r}")
-        if not all(_is_int(x) for x in r):
-            raise ValueError(f"ray entries must be integers, got {r!r}")
     return [tuple(r) for r in data]
 
 

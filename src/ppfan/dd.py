@@ -60,7 +60,7 @@ def dd_cone(dim, ineqs, eqs, process=None):
     return tuple(sorted(rays)), lin
 
 
-def dd_pair(dim, ineqs, eqs, process=None):
+def dd_pair(dim, ineqs, eqs):
     """Both canonical descriptions of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
     Returns (rays, lineality, facets, equations).  The first two are
@@ -76,7 +76,7 @@ def dd_pair(dim, ineqs, eqs, process=None):
     By duality, generators give the other direction: `dd_pair(dim, rays,
     lineality)` returns (facets, equations, extreme rays, lineality).
     """
-    rays, lin = dd_cone(dim, ineqs, eqs, process)
+    rays, lin = dd_cone(dim, ineqs, eqs)
     full = (1 << len(rays)) - 1
     masks = {}  # nonzero row -> bitmask of the rays it is tight on
     for a in map(tuple, ineqs):

@@ -106,10 +106,6 @@ HYP = settings(max_examples=400, deadline=None, derandomize=True, database=None,
                suppress_health_check=[HealthCheck.too_slow])
 
 
-def second_pass(dim, rays, lin):
-    return dd.dd_cone(dim, rays, lin)
-
-
 @st.composite
 def cone_systems(draw):
     """(dim, ineqs, eqs) with duplicate rows, zero rows and implicit equations."""
@@ -133,7 +129,7 @@ def test_dd_pair_matches_second_pass(system):
     d, ineqs, eqs = system
     rays, lin, facets, equations = dd.dd_pair(d, ineqs, eqs)
     assert (rays, lin) == dd.dd_cone(d, ineqs, eqs)
-    assert (facets, equations) == second_pass(d, rays, lin)
+    assert (facets, equations) == dd.dd_cone(d, rays, lin)
 
 
 @HYP
@@ -143,7 +139,7 @@ def test_dd_pair_on_generators_matches_two_runs(system):
     d, gens, lin = system
     facets, equations, rays, c_lin = dd.dd_pair(d, gens, lin)
     assert (facets, equations) == dd.dd_cone(d, gens, lin)
-    assert (rays, c_lin) == second_pass(d, facets, equations)
+    assert (rays, c_lin) == dd.dd_cone(d, facets, equations)
 
 
 @pytest.mark.parametrize("d, ineqs, eqs", [
@@ -160,5 +156,5 @@ def test_dd_pair_on_generators_matches_two_runs(system):
 def test_dd_pair_edge_cases(d, ineqs, eqs):
     rays, lin, facets, equations = dd.dd_pair(d, ineqs, eqs)
     assert (rays, lin) == dd.dd_cone(d, ineqs, eqs)
-    assert (facets, equations) == second_pass(d, rays, lin)
+    assert (facets, equations) == dd.dd_cone(d, rays, lin)
 

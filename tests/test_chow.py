@@ -195,9 +195,16 @@ def test_fibers_are_cached():
     assert f1 is f2
 
 
-@pytest.mark.parametrize("rays", [[(1.7,), (-1,)], [(F(1),), (-1,)], [(True,), (-1,)]],
+@pytest.mark.parametrize("rays", [[(1.7,), (-1,)], [(F(1, 2),), (-1,)], [(True,), (-1,)]],
                          ids=["float", "fraction", "bool"])
 def test_recipe_rejects_non_integer_rays(rays):
     setup = weighted_line_setup(*CASES[0])
     with pytest.raises(ValueError, match="integer entries"):
         pp_from_weights(setup, rays=rays)
+
+
+def test_recipe_accepts_integral_fraction_rays():
+    setup = weighted_line_setup(*CASES[0])
+    recipe = pp_from_weights(setup, rays=[(F(1),), (F(-2, 2),)])
+    assert recipe.rays == pp_from_weights(setup, rays=[(1,), (-1,)]).rays
+    assert all(type(x) is int for _, c in recipe.rays for x in c)
