@@ -18,6 +18,14 @@ Each conversion between the two descriptions is one run of the double
 description kernel (``ppfan.dd.dd_pair``); the description that run does not
 compute is read off the incidence between the rays it finds and the input
 rows.  Polyhedra are homogenised with one extra trailing coordinate.
+
+`Subdivision.check` reads each facet off the cell's own generators: the
+facet on a row is generated by the cell's vertices and rays on it and the
+cell's lineality.  A pair of full-dimensional cells is first decided by
+descending along separating facet rows (`_meets_in_common_face`); only a
+pair that descent cannot decide, or one with a lower-dimensional cell, is
+intersected by double description, which also names the overlap witness.
+On the Gr(2,n) subdivisions (n = 5, 6, 7) descent decides every pair.
 """
 
 from collections import deque
@@ -267,6 +275,7 @@ class Polyhedron:
         return _gens_in(self, (scale_to_int(tuple(x) + (1,)),), ())
 
     def translate(self, v):
+        _check_lengths(self.dim_ambient, [v], "translation vector")
         if self.empty:
             return self
         verts = [tuple(Fraction(a) + Fraction(b) for a, b in zip(vert, v)) for vert in self.vertices]
@@ -379,12 +388,6 @@ def _tight_on(hom_row, poly):
     return all(dot(hom_row, g) == 0 for g in verts + rays + lin)
 
 
-def _face_from_tight(poly, tight_rows):
-    ineqs = [(r[:-1], r[-1]) for r in poly.ineqs]
-    eqs = [(r[:-1], r[-1]) for r in poly.eqs] + [(r[:-1], r[-1]) for r in tight_rows]
-    return Polyhedron.from_halfspaces(poly.ambient, poly.dim_ambient, ineqs, eqs)
-
-
 # ---------------------------------------------------------------------------
 # elementary operations
 
@@ -414,6 +417,7 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 def min_value(p: Polyhedron, u):
     """Exact min of <x, u> over p, or None when unbounded below."""
+    _check_lengths(p.dim_ambient, [u], "form")
     if p.empty:
         raise ValueError("empty polyhedron")
     if any(dot(l, u) != 0 for l in p.lineality):
@@ -583,7 +587,15 @@ class Subdivision:
         return out
 
     def check(self):
-        """Verify the subdivision axioms; returns (ok, findings)."""
+        """Verify the subdivision axioms; returns (ok, findings).
+
+        A pair of cells of full dimension is first tried by
+        `_meets_in_common_face`, on the generators and rows the cells hold.
+        Only a pair it cannot decide, or a pair with a lower-dimensional
+        cell, is intersected by double description; that path also writes
+        the witness of an overlap.  Facets are read off each cell's
+        generators (`_coverage_findings`), without double description.
+        """
         findings = []
         if all(p.empty for _, p in self.cells):
             findings.append("no nonempty cells")
@@ -599,6 +611,8 @@ class Subdivision:
             for j, pj in cells:
                 if j <= i:
                     continue
+                if pi_.dim == pj.dim == dim and _meets_in_common_face(pi_, pj):
+                    continue
                 meet = intersect(pi_, pj)
                 if not meet.empty and meet.dim == dim:
                     findings.append(
@@ -611,16 +625,21 @@ class Subdivision:
 
     def _coverage_findings(self, cells, dim):
         # every facet of every maximal cell must either be a wall shared with
-        # another cell or lie in the boundary of the declared support
+        # another cell or lie in the boundary of the declared support.  The
+        # rows of a cell are its facets, so only cells of dimension dim have
+        # facets of dimension dim - 1; the facet on row h is generated by the
+        # cell's vertices and rays on h = 0 and its lineality.
         findings = []
+        boundary = () if self.support is None else self.support._hom_rows[0]
         for i, p in cells:
-            for row in p.ineqs:
-                facet = _face_from_tight(p, [row])
-                if facet.empty or facet.dim != dim - 1:
+            if p.dim != dim:
+                continue
+            verts, rays, lin = p._hom_gens
+            for row, h in zip(p.ineqs, p._hom_rows[0]):
+                on = [g for g in verts + rays if dot(h, g) == 0]
+                if any(q is not p and _gens_in(q, on, lin) for _, q in cells):
                     continue
-                if any(q is not p and _subset_of(facet, q) for _, q in cells):
-                    continue
-                if self.support is not None and _facet_on_boundary(facet, self.support):
+                if any(all(dot(b, g) == 0 for g in on + list(lin)) for b in boundary):
                     continue
                 findings.append(f"facet of cell {i} is uncovered (normal {row[:-1]})")
         return findings
@@ -641,8 +660,38 @@ def _subset_of(p, q):
     return _gens_in(q, p._hom_gens[0], ()) and _cone_leq(p, q)
 
 
-def _facet_on_boundary(facet, support):
-    return any(_tight_on(h, facet) for h in support._hom_rows[0])
+def _meets_in_common_face(p, q):
+    """True when p ∩ q is empty or a face of both; False when undecided.
+
+    Decided on the cached generators and rows, without double description.
+    A row of p with q's generators on or below its hyperplane (or a row of q
+    with p's) holds with equality on p ∩ q, so both sides are cut down to
+    their generators on that hyperplane: faces of p and of q that still
+    contain the meet.  The cuts repeat until no row cuts.  With no vertex
+    left on a side the cells do not meet; when each side's remaining face
+    lies in the other cell, p ∩ q is that face of both.  At least one cut
+    is required, so when this is True, p ∩ q lies in a proper face of p or
+    of q: for cells of equal dimension it is lower-dimensional.
+    """
+    _check_same_ambient(p, q)
+    sides = [p._hom_gens[0] + p._hom_gens[1], q._hom_gens[0] + q._hom_gens[1]]
+    lines = (p._hom_gens[2], q._hom_gens[2])
+    rows = [(0, h) for h in p._hom_rows[0]] + [(1, h) for h in q._hom_rows[0]]
+    cut = False
+    more = True
+    while more:
+        more = False
+        for own, h in rows:
+            other = 1 - own
+            if any(dot(h, g) > 0 for g in sides[other]) or any(dot(h, l) for l in lines[other]):
+                continue
+            on = [[g for g in s if dot(h, g) == 0] for s in sides]
+            if len(on[0]) + len(on[1]) < len(sides[0]) + len(sides[1]):
+                sides, cut, more = on, True, True
+                # homogeneous vertices have a positive last coordinate
+                if not all(any(g[-1] for g in s) for s in sides):
+                    return True
+    return cut and _gens_in(q, sides[0], lines[0]) and _gens_in(p, sides[1], lines[1])
 
 
 def _frac_point(p):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ppfan._vecops import is_zero, scale_to_int
+from ppfan._vecops import frac_str, is_zero, scale_to_int
 from ppfan.dd import dd_cone
 from ppfan.lattice import LatticeMap, RationalMap, hnf_rows
 from ppfan.polyhedra import (
@@ -16,7 +18,7 @@ from ppfan.polyhedra import (
     RefinementGuardExceeded,
     Subdivision,
     _cone_leq,
-    _face_from_tight,
+    _meets_in_common_face,
     _subset_of,
     common_refinement_fan,
     dual_description,
@@ -185,6 +187,28 @@ def test_min_values():
     assert min_value(dinf, (2, 1)) == -1
     with pytest.raises(ValueError):
         min_value(Polyhedron.empty_in("Q", 2), (1, 0))
+
+
+def test_min_value_rejects_wrong_length():
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    for u in [(1,), (1, 1, -9)]:
+        with pytest.raises(ValueError, match=re.escape(f"form {u!r} has length")):
+            min_value(tri, u)
+
+
+def test_face_minimizing_rejects_wrong_length():
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"form \(1, 1, -9\) has length 3"):
+        face_minimizing(tri, (1, 1, -9))
+
+
+def test_translate_rejects_wrong_length():
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"translation vector \(1, 1, 5\) has length 3"):
+        tri.translate((1, 1, 5))
+    with pytest.raises(ValueError, match="translation vector"):
+        Polyhedron.empty_in("Q", 2).translate((1,))
+    assert tri.translate((1, 1)) == poly_V([(1, 1), (2, 1), (1, 2)])
 
 
 def test_face_compact_for_interior_dual_forms():
@@ -536,6 +560,12 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _face_from_tight(poly, tight_rows):
+    ineqs = [(r[:-1], r[-1]) for r in poly.ineqs]
+    eqs = [(r[:-1], r[-1]) for r in poly.eqs] + [(r[:-1], r[-1]) for r in tight_rows]
+    return Polyhedron.from_halfspaces(poly.ambient, poly.dim_ambient, ineqs, eqs)
+
+
 def ref_contains(q, x):
     return (not q.empty
             and all(_dot(a[:-1], x) >= a[-1] for a in q.ineqs)
@@ -727,6 +757,181 @@ def test_coverage_matches_rebuild(points, data):
     dim = 2 if support is None else support.dim
     maximal = list(enumerate(sub.maximal_cells()))
     assert sub._coverage_findings(maximal, dim) == ref_coverage_findings(sub, maximal, dim)
+
+
+# --- subdivision check on generators, against the intersect-every-pair check -
+#
+# ref_check is Subdivision.check as it was before pairs and facets were
+# decided on the cells' own generators: every pair of maximal cells is
+# intersected by double description, and every facet is rebuilt from its
+# tight row (ref_coverage_findings).
+
+
+def ref_check(sub):
+    findings = []
+    if all(p.empty for _, p in sub.cells):
+        findings.append("no nonempty cells")
+        return False, findings
+    dim = sub.dim_ambient if sub.support is None else sub.support.dim
+    cells = list(enumerate(sub.maximal_cells()))
+    for i, p in cells:
+        if p.dim != dim:
+            findings.append(f"maximal cell {i} has dimension {p.dim}, expected {dim}")
+        if sub.support is not None and not _subset_of(p, sub.support):
+            findings.append(f"maximal cell {i} leaves the declared support")
+    for i, pi_ in cells:
+        for j, pj in cells:
+            if j <= i:
+                continue
+            meet = intersect(pi_, pj)
+            if not meet.empty and meet.dim == dim:
+                witness = [frac_str(x) for x in meet.relative_interior_point()]
+                findings.append(f"cells {i} and {j} overlap in interiors; witness {witness}")
+                continue
+            if not (meet.is_face_of(pi_) and meet.is_face_of(pj)):
+                findings.append(f"cells {i} and {j} do not meet in a common face")
+    findings.extend(ref_coverage_findings(sub, cells, dim))
+    return not findings, findings
+
+
+@st.composite
+def subdivisions(draw):
+    """Induced subdivisions in d = 2, 3, then perturbed, with or without support.
+
+    A flat point set lies on an affine hyperplane, so its cells and support
+    carry equations.  Cells are dropped, added (hulls of some of the points),
+    shifted (by a random vector, or by a difference of two points or half of
+    it), duplicated, or refined (replaced by an induced subdivision of their
+    vertices and midpoints of vertex pairs, which splits the walls they share
+    with their neighbours).
+    """
+    d = draw(st.integers(2, 3))
+    flat = draw(st.booleans())
+    free = d - 1 if flat else d
+    coords = st.tuples(*[st.integers(0, 2)] * free)
+    points = draw(st.lists(coords, min_size=free + 2, max_size=7 if d == 2 else 6, unique=True))
+    if flat:
+        c, e = draw(st.tuples(*[_ints] * free)), draw(_ints)
+        points = [x + (e + _dot(c, x),) for x in points]
+    heights = draw(st.lists(_ints, min_size=len(points), max_size=len(points)))
+    sub = induced_subdivision("Q", points, heights)
+    cells = list(sub.cells)
+    ops = ["drop", "add", "shift", "dup", "refine"]
+    for op in draw(st.lists(st.sampled_from(ops), max_size=3)):
+        if op == "add":
+            verts = draw(st.lists(st.sampled_from(points), min_size=1, max_size=4))
+            cells.append((("added", len(cells)), poly_V(verts, d=d)))
+            continue
+        if not cells:
+            continue
+        i = draw(st.integers(0, len(cells) - 1))
+        label, p = cells[i]
+        if op == "drop":
+            del cells[i]
+        elif op == "dup":
+            cells.append((("dup", i), p))
+        elif op == "refine":
+            mids = [tuple((x + y) / 2 for x, y in zip(a, b))
+                    for a, b in itertools.combinations(p.vertices, 2)]
+            pts = list(p.vertices) + draw(st.lists(st.sampled_from(mids), max_size=2,
+                                                   unique=True) if mids else st.just([]))
+            hs = draw(st.lists(_ints, min_size=len(pts), max_size=len(pts)))
+            cells[i:i + 1] = [((label, k), c) for k, c in induced_subdivision("Q", pts, hs).cells]
+        else:
+            a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            t = draw(st.sampled_from([F(1, 2), 1]))
+            v = draw(st.sampled_from([tuple(t * (x - y) for x, y in zip(a, b)),
+                                      draw(st.tuples(*[_ints] * d))]))
+            cells[i] = (label, p.translate(v))
+    support = draw(st.sampled_from([sub.support, None]))
+    return Subdivision("Q", d, tuple(cells), support)
+
+
+@settings(HYP, max_examples=200)
+@given(subdivisions())
+def test_check_matches_intersect_every_pair(sub):
+    assert sub.check() == ref_check(sub)
+
+
+@settings(HYP, max_examples=200)
+@given(st.one_of(polyhedron_pairs(),
+                 subdivisions().flatmap(lambda sub: st.tuples(*[st.sampled_from(
+                     sub.polyhedra() or [Polyhedron.empty_in("Q", sub.dim_ambient)])] * 2))))
+def test_meets_in_common_face_is_sound(pq):
+    p, q = pq
+    if p.empty or q.empty or not _meets_in_common_face(p, q):
+        return
+    meet = intersect(p, q)
+    assert meet.empty or (meet.is_face_of(p) and meet.is_face_of(q)
+                          and meet.dim < max(p.dim, q.dim))
+    assert _meets_in_common_face(q, p)
+
+
+def test_meets_in_common_face_decides_neighbours():
+    square = poly_V([(0, 0), (1, 0), (0, 1), (1, 1)])
+    right = square.translate((1, 0))
+    corner = square.translate((1, 1))
+    far = square.translate((3, 0))
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    assert _meets_in_common_face(square, right)   # a shared edge
+    assert _meets_in_common_face(square, corner)  # a shared vertex
+    assert _meets_in_common_face(square, far)     # apart
+    assert not _meets_in_common_face(square, square)
+    assert not _meets_in_common_face(square, tri)  # tri is a part, not a face
+    # x = 1 separates them, but the meet is half of an edge: a face of neither
+    assert not _meets_in_common_face(square, square.translate((1, F(1, 2))))
+    half = poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]).translate((F(1, 2), 0))
+    assert not _meets_in_common_face(square, half)  # they overlap
+
+
+@st.composite
+def nonempty_polyhedra(draw):
+    p = draw(polyhedra(draw(st.integers(1, 3))))
+    assume(not p.empty)
+    return p
+
+
+@HYP
+@given(nonempty_polyhedra())
+def test_facets_from_tight_generators(p):
+    # every row of a cell cuts out a facet, generated by the cell's
+    # generators on the row and its lineality
+    verts, rays, lin = p._hom_gens
+    for row, h in zip(p.ineqs, p._hom_rows[0]):
+        facet = _face_from_tight(p, [row])
+        assert not facet.empty and facet.dim == p.dim - 1
+        on = [g for g in verts + rays if _dot(h, g) == 0]
+        spanned = poly_V([tuple(F(x, g[-1]) for x in g[:-1]) for g in on if g[-1]],
+                         [g[:-1] for g in on if not g[-1]], p.lineality, d=p.dim_ambient)
+        assert spanned == facet
+
+
+def test_subdivision_check_runs_no_dd_on_gr5(monkeypatch):
+    import ppfan.dd as dd
+    from ppfan.divisors import check_subdivision_structure
+    from ppfan.grassmann import fansy_closed_form
+
+    fansy = fansy_closed_form(5)
+    real_dd, real_check = dd.dd_cone, Subdivision.check
+    depth, checks, inside = [0], [], []
+
+    def counting_dd(*args, **kwargs):
+        if depth[0]:
+            inside.append(args)
+        return real_dd(*args, **kwargs)
+
+    def counting_check(sub):
+        checks.append(sub)
+        depth[0] += 1
+        try:
+            return real_check(sub)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(dd, "dd_cone", counting_dd)
+    monkeypatch.setattr(Subdivision, "check", counting_check)
+    assert check_subdivision_structure(fansy).passed
+    assert len(checks) == len(fansy.labels) and inside == []
 
 
 # --- one DD run per conversion, against the multi-run definitions -----------
