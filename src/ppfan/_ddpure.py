@@ -1,4 +1,4 @@
-"""Double description constraint loop, pure Python reference implementation.
+"""Double description constraint loop, in pure Python.
 
 `process` incrementally intersects the full space with halfspaces/hyperplanes,
 maintaining a minimal generating system (lineality basis + extreme rays) and

@@ -62,34 +62,43 @@ def sign_canonical(v):
     return tuple(v)
 
 
+def rref(rows, width):
+    """Gauss–Jordan elimination over Q, with pivots in the first `width` columns.
+
+    Returns (work, pivots): `work` holds the rows as lists of Fractions, the
+    i-th of them with a 1 in column pivots[i] and zeros in every other pivot
+    column; the rows past len(pivots) are zero in the first `width` columns.
+    Columns after `width` (an augmented right-hand side) are carried along.
+    The pivot of a column is the first remaining row that is nonzero there.
+    """
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        top = work[r] = [x / pv for x in work[r]]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != r and f != 0:
+                work[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(col)
+    return work, pivots
+
+
 def rref_primitive(rows, width):
     """Reduced row echelon of a rational row space, rows scaled to primitive ints.
 
     The result is the canonical basis of the *saturated* integer lattice of
     the row space (pivot entries positive, zeros above and below pivots).
     """
-    work = [[Fraction(x) for x in r] for r in rows]
-    basis = []
-    col = 0
-    r = 0
-    while r < len(work) and col < width:
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        col += 1
-    for row in work[:r]:
-        iv = scale_to_int(row)
-        basis.append(sign_canonical(iv))
-    return tuple(basis)
+    work, pivots = rref(rows, width)
+    return tuple(scale_to_int(row) for row in work[:len(pivots)])
 
 
 def reduce_mod_rows(v, rows):

@@ -1,38 +1,22 @@
-"""Backend selection and canonical output for the double description kernel.
+"""Canonical output of the double description method.
 
-The hot constraint-processing loop exists twice: a Cython extension
-(`ppfan._ddcore`) and a pure Python twin (`ppfan._ddpure`) with identical
-semantics.  The compiled one is picked when importable; set
-``PPFAN_BACKEND=python`` or ``PPFAN_BACKEND=compiled`` to force a choice.
-
-`dd_cone` turns one description of a cone into the other.  `dd_pair` gives
-both canonical descriptions from one DD run: the second is read off the
-incidence between the computed rays and the input rows.
+`process` (in `ppfan._ddpure`) is the double description constraint loop
+(Fukuda & Prodon, *Double description method revisited*): it intersects the
+whole space with one row at a time and returns raw rays and lineality.
+`dd_cone` calls it through this module's global `process`, so a test or a
+tracer can rebind that one name to see every run, and turns its output into
+the canonical description.  `dd_pair` gives both canonical descriptions from
+one run: the second is read off the incidence between the computed rays and
+the input rows.
 """
 
-import os
-
+from ._ddpure import process
 from ._vecops import dot, is_zero, primitive, reduce_mod_rows_int, rref_primitive
 
-_choice = os.environ.get("PPFAN_BACKEND", "auto").lower()
-
-if _choice in ("auto", "", "compiled"):
-    try:
-        from ._ddcore import process as _process
-        BACKEND = "compiled"
-    except ImportError:
-        if _choice == "compiled":
-            raise
-        from ._ddpure import process as _process
-        BACKEND = "python"
-elif _choice == "python":
-    from ._ddpure import process as _process
-    BACKEND = "python"
-else:
-    raise RuntimeError(f"unknown PPFAN_BACKEND value: {_choice!r}")
+BACKEND = "python"  # the only kernel, reported as `ppfan.BACKEND`
 
 
-def dd_cone(dim, ineqs, eqs, process=None):
+def dd_cone(dim, ineqs, eqs):
     """Extreme rays and lineality of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
     All input vectors must be integer tuples of length `dim` (ValueError
@@ -41,12 +25,11 @@ def dd_cone(dim, ineqs, eqs, process=None):
     space and sorted; the lineality basis is the canonical saturated RREF.
     The result is independent of input order and duplicates.
     """
-    run = process if process is not None else _process
     constraints = [(tuple(e), True) for e in eqs] + [(tuple(a), False) for a in ineqs]
     for v, _ in constraints:
         if len(v) != dim:
             raise ValueError(f"vector {v!r} has length {len(v)}, expected {dim}")
-    vecs, lin_rows = run(dim, constraints)
+    vecs, lin_rows = process(dim, constraints)
     lin = rref_primitive(lin_rows, dim)
     rays = set()
     if lin:

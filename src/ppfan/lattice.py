@@ -13,7 +13,7 @@ All integer arithmetic is arbitrary precision, rationals are
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._vecops import frac_str
+from ._vecops import frac_str, rref
 
 
 def identity_matrix(n):
@@ -48,22 +48,8 @@ def _xgcd(a, b):
 
 
 def matrix_rank(m):
-    """Rank over Q, by fraction Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+    """Rank over Q."""
+    return len(rref(m, len(m[0]) if m else 0)[1])
 
 
 def hnf_rows(rows, width=None):
@@ -353,32 +339,13 @@ def rational_solve(matrix, rhs):
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    work = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if work[i][n] != 0:
-            return None
+    n = len(matrix[0]) if matrix else 0
+    work, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(matrix)], n)
+    if any(row[n] != 0 for row in work[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = work[i][n]
+    for row, col in zip(work, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 
@@ -386,19 +353,8 @@ def rational_left_inverse(matrix):
     """Exact left inverse of a full-column-rank matrix (rows of the RREF transform)."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    work = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(m)]
-            for i, row in enumerate(matrix)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return tuple(tuple(work[i][n:]) for i in range(n))
+    work, pivots = rref([list(row) + [1 if j == i else 0 for j in range(m)]
+                         for i, row in enumerate(matrix)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix does not have full column rank")
+    return tuple(tuple(row[n:]) for row in work[:n])

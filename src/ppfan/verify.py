@@ -31,11 +31,10 @@ from .lattice import check_retraction, identity_matrix, mat_mul
 from .polyhedra import Polyhedron, induced_subdivision, intersect
 
 
-def check_two_routes(n):
-    # the recipe's subdivisions are not checked on their own: once every
-    # coefficient matches the closed form's, checking the closed form below
-    # gives the same verdict
-    closed = fansy_closed_form(n)
+def check_two_routes(n, closed):
+    # `closed` is fansy_closed_form(n).  The recipe's subdivisions are not
+    # checked on their own: once every coefficient matches the closed form's,
+    # checking the closed form below gives the same verdict
     recipe = fansy_via_recipe(n, verify=False)
     eq, matching = fansy_equal(closed, recipe)
     if not eq:
@@ -54,9 +53,9 @@ def check_two_routes(n):
     return True, f"{want_labels} labels, {want_cells} cells each, matching {len(matching)} cells"
 
 
-def check_edge_endpoints(n):
+def check_edge_endpoints(n, closed):
+    # `closed` is fansy_closed_form(n)
     rs = RootSystemA(n)
-    closed = fansy_closed_form(n)
     for B in partitions(n):
         ell = rs.ell_sum(B.part)
         hi = tuple(Fraction(B.b - 1, n - 2) * x for x in ell)
@@ -187,12 +186,28 @@ def run_battery(n):
 
     Raises ValueError for n < 4, before any check runs: the battery is about
     Gr(2,n) for n >= 4, and below that its checks pass vacuously or fail.
+    The closed form is built once, when the first check that needs it runs;
+    if building it raises, every such check fails with that exception.
     """
     if n < 4:
         raise ValueError("need n >= 4")
+    built = []  # (closed form, None) or (None, the exception building it raised)
+
+    def closed():
+        # both checks below share one closed form; a failed build fails both
+        if not built:
+            try:
+                built.append((fansy_closed_form(n), None))
+            except Exception as exc:
+                built.append((None, exc))
+        form, exc = built[0]
+        if exc is not None:
+            raise exc
+        return form
+
     checks = [
-        (f"two-route agreement n={n}", lambda: check_two_routes(n)),
-        (f"edge endpoints n={n}", lambda: check_edge_endpoints(n)),
+        (f"two-route agreement n={n}", lambda: check_two_routes(n, closed())),
+        (f"edge endpoints n={n}", lambda: check_edge_endpoints(n, closed())),
         (f"positive fibers n={n}", lambda: check_positive_fibers(n)),
         (f"algebraic identities n={n}", lambda: check_algebraic_identities(n)),
         ("weyl identities", lambda: check_weyl()),
@@ -200,9 +215,8 @@ def run_battery(n):
     ]
     if n == 4:
         checks.append(("cube crosscut", check_cube))
-    if n <= 5:
-        checks.append((f"induced subdivisions n={n}", lambda: check_induced_subdivisions(n)))
-        checks.append((f"local chart n={n}", lambda: check_local_chart(n)))
+    checks.append((f"induced subdivisions n={n}", lambda: check_induced_subdivisions(n)))
+    checks.append((f"local chart n={n}", lambda: check_local_chart(n)))
     results = []
     for name, fn in checks:
         try:

@@ -1,4 +1,4 @@
-"""The compiled and pure constraint loops must be interchangeable bit for bit."""
+"""The double description kernel and its canonical output."""
 
 import random
 
@@ -6,72 +6,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ppfan
 import ppfan.dd as dd
-from ppfan._ddpure import process as pure_process
-
-try:
-    from ppfan._ddcore import process as compiled_process
-except ImportError:
-    compiled_process = None
-
-needs_compiled = pytest.mark.skipif(compiled_process is None,
-                                    reason="compiled kernel not built")
 
 
 def test_backend_reports_something():
-    assert dd.BACKEND in ("python", "compiled")
+    assert ppfan.BACKEND == dd.BACKEND == "python"
 
 
-@needs_compiled
-def test_backends_agree_on_random_cones():
-    rng = random.Random(99)
-    for _ in range(300):
-        d = rng.randint(0, 5)
-        ineqs = [tuple(rng.randint(-4, 4) for _ in range(d))
-                 for _ in range(rng.randint(0, 7))]
-        eqs = [tuple(rng.randint(-3, 3) for _ in range(d))
-               for _ in range(rng.randint(0, 2))]
-        assert dd.dd_cone(d, ineqs, eqs, process=pure_process) == \
-            dd.dd_cone(d, ineqs, eqs, process=compiled_process)
+def test_dd_cone_calls_the_kernel_through_the_module_global(monkeypatch):
+    # a wrapper bound to `ppfan.dd.process` sees every kernel run, one per
+    # `dd_cone` (and so one per `dd_pair`)
+    calls = []
+    kernel = dd.process
 
+    def counting(dim, constraints):
+        calls.append((dim, len(constraints)))
+        return kernel(dim, constraints)
 
-@needs_compiled
-def test_backends_agree_past_word_width():
-    # tight-set bitmasks outgrow C integers; sweep well past 64 constraints
-    import math
-
-    def halfplane(t):
-        return (int(100 * math.cos(t)), int(100 * math.sin(t)), 141)
-
-    for count in (34, 65, 100):
-        cons = [halfplane(2 * math.pi * i / count) for i in range(count)]
-        assert dd.dd_cone(3, cons, [], process=pure_process) == \
-            dd.dd_cone(3, cons, [], process=compiled_process)
-
-
-@needs_compiled
-def test_backends_agree_on_long_random_runs():
-    rng = random.Random(101)
-    for _ in range(80):
-        d = rng.randint(2, 4)
-        ineqs = [tuple(rng.randint(-3, 3) for _ in range(d))
-                 for _ in range(rng.randint(30, 70))]
-        eqs = [tuple(rng.randint(-2, 2) for _ in range(d))
-               for _ in range(rng.randint(0, 1))]
-        assert dd.dd_cone(d, ineqs, eqs, process=pure_process) == \
-            dd.dd_cone(d, ineqs, eqs, process=compiled_process)
-
-
-@needs_compiled
-def test_backends_agree_on_fiber_style_systems():
-    rng = random.Random(100)
-    for _ in range(60):
-        d = rng.randint(3, 6)
-        unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        eqs = [tuple(rng.randint(-2, 2) for _ in range(d))
-               for _ in range(rng.randint(1, 2))]
-        assert dd.dd_cone(d, unit, eqs, process=pure_process) == \
-            dd.dd_cone(d, unit, eqs, process=compiled_process)
+    monkeypatch.setattr(dd, "process", counting)
+    assert dd.dd_cone(3, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)]) == (((0, 1, 0), (1, 0, 0)), ())
+    assert calls == [(3, 3)]
+    dd.dd_pair(2, [(1, 0), (0, 1), (1, 1)], [])
+    dd.dd_cone(0, [], [])
+    assert calls == [(3, 3), (2, 3), (0, 0)]
 
 
 def test_dd_handles_duplicates_and_zero_rows():

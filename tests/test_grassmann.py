@@ -348,3 +348,58 @@ def test_visibility_examples():
     B = Partition(4, (1, 3))
     assert B.separates(1, 2)
     assert not Partition(4, (1, 2)).separates(1, 2)
+
+
+# --- the verification battery ----------------------------------------------
+
+CHECKS = ("check_two_routes", "check_edge_endpoints", "check_positive_fibers",
+          "check_algebraic_identities", "check_weyl", "check_tail_fans", "check_cube",
+          "check_induced_subdivisions", "check_local_chart")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_battery_runs_every_check_at_every_n(monkeypatch, n):
+    import ppfan.verify as verify
+
+    for name in CHECKS:
+        monkeypatch.setattr(verify, name, lambda *args: (True, "stub"))
+    monkeypatch.setattr(verify, "fansy_closed_form", lambda n: None)
+    names = [name for name, _, _ in verify.run_battery(n)]
+    assert names == [f"two-route agreement n={n}", f"edge endpoints n={n}",
+                     f"positive fibers n={n}", f"algebraic identities n={n}",
+                     "weyl identities", f"tail fan (2,{n})"] + \
+        ["cube crosscut"] * (n == 4) + \
+        [f"induced subdivisions n={n}", f"local chart n={n}"]
+
+
+def test_battery_builds_the_closed_form_once(monkeypatch):
+    import ppfan.verify as verify
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return fansy_closed_form(n)
+
+    monkeypatch.setattr(verify, "fansy_closed_form", counting)
+    results = verify.run_battery(4)
+    assert calls == [4]
+    assert all(passed for _, passed, _ in results)
+
+
+def test_battery_fails_both_checks_when_the_closed_form_raises(monkeypatch):
+    import ppfan.verify as verify
+
+    calls = []
+
+    def broken(n):
+        calls.append(n)
+        raise ArithmeticError(f"no closed form at n={n}")
+
+    monkeypatch.setattr(verify, "fansy_closed_form", broken)
+    results = {name: (passed, detail) for name, passed, detail in verify.run_battery(4)}
+    failed = (False, "ArithmeticError: no closed form at n=4")
+    assert results.pop("two-route agreement n=4") == failed
+    assert results.pop("edge endpoints n=4") == failed
+    assert all(passed for passed, _ in results.values())
+    assert calls == [4]

@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ppfan._vecops import rref_primitive, scale_to_int, sign_canonical
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
@@ -205,3 +209,180 @@ def test_rational_map_json_roundtrip_strings():
     t = RationalMap((("1/2", "-1/3"),), "A", "B")
     js = t.to_json()
     assert js["entries"] == [["1/2", "-1/3"]]
+
+
+# --- one shared elimination --------------------------------------------------
+#
+# `rref_primitive`, `matrix_rank`, `rational_solve` and `rational_left_inverse`
+# are wrappers over `_vecops.rref`.  The references below are the four
+# Gaussian eliminations they replaced, kept verbatim.
+
+
+def ref_rref_primitive(rows, width):
+    work = [[Fraction(x) for x in r] for r in rows]
+    basis = []
+    col = 0
+    r = 0
+    while r < len(work) and col < width:
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+        col += 1
+    for row in work[:r]:
+        iv = scale_to_int(row)
+        basis.append(sign_canonical(iv))
+    return tuple(basis)
+
+
+def ref_matrix_rank(m):
+    work = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        pv = work[rank][col]
+        for i in range(rank + 1, len(work)):
+            if work[i][col] != 0:
+                f = work[i][col] / pv
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def ref_rational_solve(matrix, rhs):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    work = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(m):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if work[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = work[i][n]
+    return tuple(x)
+
+
+def ref_rational_left_inverse(matrix):
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    work = [[Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(m)]
+            for i, row in enumerate(matrix)]
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if work[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix does not have full column rank")
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(m):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return tuple(tuple(work[i][n:]) for i in range(n))
+
+
+def outcome(f, *args):
+    """What a call gives: its value, or the type and text of the error it raised.
+
+    Values are compared by repr, so an int where a Fraction was (or the other
+    way round) counts as a difference.
+    """
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+HYP = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+               suppress_health_check=[HealthCheck.too_slow])
+
+ENTRIES = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def matrices(draw):
+    """(width, rows): int and Fraction entries, with zero, repeated and dependent rows."""
+    n = draw(st.integers(0, 5))
+    row = st.tuples(*[ENTRIES] * n)
+    rows = draw(st.lists(row, max_size=5))
+    if rows:
+        for i, j, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                               st.integers(0, len(rows) - 1), ENTRIES),
+                                     max_size=2)):
+            rows.append(tuple(a + c * b for a, b in zip(rows[i], rows[j])))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows.append((0,) * n)
+    return n, tuple(draw(st.permutations(rows)))
+
+
+@HYP
+@given(matrices(), st.data())
+def test_eliminations_match_references(mat, data):
+    n, rows = mat
+    assert outcome(rref_primitive, rows, n) == outcome(ref_rref_primitive, rows, n)
+    assert outcome(matrix_rank, rows) == outcome(ref_matrix_rank, rows)
+    assert outcome(rational_left_inverse, rows) == outcome(ref_rational_left_inverse, rows)
+    # a right-hand side in the column space, or any (often inconsistent) one
+    if data.draw(st.booleans()):
+        x = data.draw(st.tuples(*[ENTRIES] * n))
+        rhs = tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+    else:
+        rhs = data.draw(st.tuples(*[ENTRIES] * len(rows)))
+    assert outcome(rational_solve, rows, rhs) == outcome(ref_rational_solve, rows, rhs)
+
+
+@pytest.mark.parametrize("rows", [
+    (),
+    ((), ()),
+    ((1, 2), (3, 4), (5, 6)),
+    ((Fraction(1, 2), 0), (0, Fraction(-2, 3))),
+    ((0, 1), (1, 0), (1, 1)),
+    ((1, 2, 3), (4, 5, 6)),
+    ((1, 2), (2, 4), (3, 6)),
+    ((0, 1), (0, 2)),
+    ((0, 0), (0, 0)),
+], ids=["empty", "zero-width", "tall", "fractions", "pivot-swap", "wide",
+        "rank-one", "zero-column", "zero"])
+def test_eliminations_on_named_matrices(rows):
+    n = len(rows[0]) if rows else 0
+    assert outcome(rref_primitive, rows, n) == outcome(ref_rref_primitive, rows, n)
+    assert outcome(matrix_rank, rows) == outcome(ref_matrix_rank, rows)
+    for rhs in ((0,) * len(rows), tuple(range(1, len(rows) + 1))):
+        assert outcome(rational_solve, rows, rhs) == outcome(ref_rational_solve, rows, rhs)
+    got = outcome(rational_left_inverse, rows)
+    assert got == outcome(ref_rational_left_inverse, rows)
+    raised = isinstance(got, tuple)
+    assert raised == (matrix_rank(rows) < n)
