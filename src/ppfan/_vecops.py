@@ -102,21 +102,19 @@ def rref_primitive(rows, width):
 
 
 def reduce_mod_rows(v, rows):
-    """Canonical representative of v modulo the span of RREF-shaped rows.
+    """Canonical primitive representative of the integer vector v modulo RREF rows.
 
-    Zeroes out the pivot coordinate of every row; exact over Q.
+    For each row with pivot entry c at p (the row is negated first if c < 0),
+    v becomes c*v - v[p]*row, which zeroes coordinate p; only positive
+    factors scale v, so the direction of the rational reduction is kept.
+    Integer arithmetic throughout; the result is primitive.
     """
-    if not rows:
-        return tuple(v)
-    out = [Fraction(x) for x in v]
+    v = tuple(v)
     for row in rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if out[p] != 0:
-            f = out[p] / row[p]
-            out = [x - f * y for x, y in zip(out, row)]
-    return tuple(out)
-
-
-def reduce_mod_rows_int(v, rows):
-    """Like reduce_mod_rows but rescales the result to a primitive int vector."""
-    return scale_to_int(reduce_mod_rows(v, rows))
+        p, c = next((i, x) for i, x in enumerate(row) if x != 0)
+        if c < 0:
+            row, c = neg(row), -c
+        f = v[p]
+        if f:
+            v = tuple(c * x - f * y for x, y in zip(v, row))
+    return primitive(v)

@@ -252,7 +252,7 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
             terms.append((label, map_image(face, p)))
         tface = face_minimizing(tail_poly, emb.entries[v])
         timg = map_image(tface, p)
-        tail_v = Cone.from_rays(p.codomain, p.rows, timg.rays, timg.lineality)
+        tail_v = timg.tail_cone()
         div = PPDivisor(p.codomain, p.rows, tail_v, tuple(terms))
         if div in seen:
             continue

@@ -7,11 +7,13 @@ whole space with one row at a time and returns raw rays and lineality.
 tracer can rebind that one name to see every run, and turns its output into
 the canonical description.  `dd_pair` gives both canonical descriptions from
 one run: the second is read off the incidence between the computed rays and
-the input rows.
+the input rows by `from_incidence`.  The same routine gives faces, tail
+cones and facets of a polyhedron or cone that is already canonical, from the
+incidence of its own generators with its own rows, with no run at all.
 """
 
 from ._ddpure import process
-from ._vecops import dot, is_zero, primitive, reduce_mod_rows_int, rref_primitive
+from ._vecops import dot, is_zero, reduce_mod_rows, rref_primitive
 
 BACKEND = "python"  # the only kernel, reported as `ppfan.BACKEND`
 
@@ -34,7 +36,7 @@ def dd_cone(dim, ineqs, eqs):
     rays = set()
     if lin:
         for v in vecs:
-            r = reduce_mod_rows_int(v, lin)
+            r = reduce_mod_rows(v, lin)
             if not is_zero(r):
                 rays.add(r)
     else:
@@ -43,33 +45,58 @@ def dd_cone(dim, ineqs, eqs):
     return tuple(sorted(rays)), lin
 
 
+def tight_masks(rows, gens):
+    """For each row, the bitmask of the generators (by index) it is tight on."""
+    return [sum(1 << i for i, g in enumerate(gens) if dot(a, g) == 0) for a in rows]
+
+
+def from_incidence(dim, incidence, full, eqs):
+    """Canonical (facets, equations) of a cone from its generators' incidence with rows.
+
+    `incidence` pairs candidate rows with the bitmask of the cone's extreme
+    generators each is tight on, `full` is the mask of all of them, and `eqs`
+    spans equations the cone satisfies.  Every row must be valid on the cone,
+    and every facet of the cone must be cut out by one of the rows.  A row
+    tight on every generator is an implicit equation; the equations span
+    `eqs` and the implicit ones, as the canonical saturated RREF.  The facets
+    are the other rows whose masks are inclusion-maximal, reduced modulo the
+    equations; rows with the same mask give the same facet.  Lineality is not
+    in the masks: the faces of a cone that contain its lineality space are
+    told apart by the extreme rays they hold.
+
+    This reads off a face F of a cone P without double description: every
+    facet of F is F ∩ H for a facet H of P (for a polyhedron in homogeneous
+    coordinates, H may also be x0 >= 0), and F's extreme generators are P's
+    generators on F, so P's facet rows masked to F's generators, with P's
+    equations, give F's canonical description exactly as a run on F would.
+    """
+    masks = {}
+    for a, m in incidence:
+        if not is_zero(a):
+            masks.setdefault(tuple(a), m)
+    equations = rref_primitive(list(eqs) + [a for a, m in masks.items() if m == full], dim)
+    proper = {m for m in masks.values() if m != full}
+    maximal = {m for m in proper if not any(m != n and m & n == m for n in proper)}
+    # rows with the same maximal mask define the same facet: reduce one of them
+    facet_rows = {m: a for a, m in masks.items() if m in maximal}
+    facets = [reduce_mod_rows(a, equations) for a in facet_rows.values()]
+    return tuple(sorted(facets)), equations
+
+
 def dd_pair(dim, ineqs, eqs):
     """Both canonical descriptions of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
     Returns (rays, lineality, facets, equations).  The first two are
     `dd_cone(dim, ineqs, eqs)`; the last two equal `dd_cone(dim, rays,
     lineality)`, the canonical description of the polar cone, but come from
-    the incidence of the rays with the input rows instead of a second run
-    (Fukuda & Prodon, *Double description method revisited*).  A row tight on
-    every ray is an implicit equation, and the equations span the input
-    equations and the implicit ones.  The facets are the other rows whose
-    sets of tight rays are inclusion-maximal, reduced modulo the equations;
-    rows with the same set give the same facet.
+    the incidence of the rays with the input rows (`from_incidence`) instead
+    of a second run (Fukuda & Prodon, *Double description method revisited*).
 
     By duality, generators give the other direction: `dd_pair(dim, rays,
     lineality)` returns (facets, equations, extreme rays, lineality).
     """
     rays, lin = dd_cone(dim, ineqs, eqs)
-    full = (1 << len(rays)) - 1
-    masks = {}  # nonzero row -> bitmask of the rays it is tight on
-    for a in map(tuple, ineqs):
-        if a not in masks and not is_zero(a):
-            masks[a] = sum(1 << i for i, r in enumerate(rays) if dot(a, r) == 0)
-    equations = rref_primitive(list(eqs) + [a for a, m in masks.items() if m == full], dim)
-    proper = {m for m in masks.values() if m != full}
-    maximal = {m for m in proper if not any(m != n and m & n == m for n in proper)}
-    # rows with the same maximal mask define the same facet: reduce one of them
-    facet_rows = {m: a for a, m in masks.items() if m in maximal}
-    facets = [reduce_mod_rows_int(a, equations) if equations else primitive(a)
-              for a in facet_rows.values()]
-    return rays, lin, tuple(sorted(facets)), equations
+    ineqs = list(map(tuple, ineqs))
+    facets, equations = from_incidence(dim, zip(ineqs, tight_masks(ineqs, rays)),
+                                       (1 << len(rays)) - 1, eqs)
+    return rays, lin, facets, equations

@@ -14,10 +14,15 @@ need a point (minimisation, Minkowski sums) raise on it.
 coarsest common refinement of the images of the orthant faces, on its
 support, found by walking from chamber to chamber.
 
-Each conversion between the two descriptions is one run of the double
+A conversion between the two descriptions is one run of the double
 description kernel (``ppfan.dd.dd_pair``); the description that run does not
 compute is read off the incidence between the rays it finds and the input
-rows.  Polyhedra are homogenised with one extra trailing coordinate.
+rows.  Faces (`face_minimizing`), tail cones (`Polyhedron.tail_cone`) and
+facets (`Cone.facets`, the walls crossed by `common_refinement_fan`) need no
+run: they are read the same way (``ppfan.dd.from_incidence``) off the
+incidence of the object's own generators with its own rows, which is cached
+on the instance.  Polyhedra are homogenised with one extra trailing
+coordinate.
 
 `Subdivision.check` reads each facet off the cell's own generators: the
 facet on a row is generated by the cell's vertices and rays on it and the
@@ -32,11 +37,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 
 from ._vecops import dot, frac_str, is_zero, neg, primitive, scale_to_int, sign_canonical
-from .dd import dd_pair
+from .dd import dd_pair, from_incidence, tight_masks
 from .lattice import hnf_rows, matrix_rank, rational_left_inverse
 
 
@@ -123,12 +128,25 @@ class Cone:
         return Cone(f"{self.ambient}*", self.dim_ambient,
                     self.ineqs, self.eqs, self.rays, self.lineality)
 
+    @cached_property
+    def _incidence(self):
+        """(row, bitmask of the rays it is tight on) for each facet row; not a field."""
+        return tuple(zip(self.ineqs, tight_masks(self.ineqs, self.rays)))
+
+    def _face(self, sel):
+        """The face spanned by the rays in the bitmask `sel` and the lineality.
+
+        Read off the incidence by `dd.from_incidence`, without double
+        description; `sel` must be the mask of a face (of a facet row, say).
+        """
+        rays = tuple(r for i, r in enumerate(self.rays) if sel >> i & 1)
+        ineqs, eqs = from_incidence(self.dim_ambient,
+                                    ((a, m & sel) for a, m in self._incidence), sel, self.eqs)
+        return Cone(self.ambient, self.dim_ambient, rays, self.lineality, ineqs, eqs)
+
     def facets(self):
-        out = []
-        for a in self.ineqs:
-            out.append(Cone.from_ineqs(self.ambient, self.dim_ambient,
-                                       self.ineqs, self.eqs + (a,)))
-        return out
+        """The facets, one per facet row, in the order of `ineqs`."""
+        return [self._face(m) for _, m in self._incidence]
 
     def interior_dual_vector(self):
         """An integer form strictly positive on the cone away from its lineality."""
@@ -195,8 +213,9 @@ class Polyhedron:
     polyhedron has `empty=True` and no other data.
 
     Containment and face tests read integer homogeneous forms of the same
-    data (`_hom_gens`, `_hom_rows`), computed on first use and cached on the
-    instance; they are not fields, so equality, hashing and JSON ignore them.
+    data (`_hom_gens`, `_hom_rows`) and faces read their incidence
+    (`_incidence`); all three are computed on first use and cached on the
+    instance.  They are not fields, so equality, hashing and JSON ignore them.
     """
 
     ambient: str
@@ -263,10 +282,44 @@ class Polyhedron:
         return (tuple(a[:-1] + (-a[-1],) for a in self.ineqs),
                 tuple(e[:-1] + (-e[-1],) for e in self.eqs))
 
+    @cached_property
+    def _incidence(self):
+        """(row, mask) for each homogeneous inequality row and for x0 >= 0.
+
+        The mask has bit i set when the row is tight on the i-th of the
+        vertices and rays of `_hom_gens`, vertices first.  These rows cut out
+        every facet of the homogenisation cone.
+        """
+        verts, rays, _ = self._hom_gens
+        rows = self._hom_rows[0] + ((0,) * self.dim_ambient + (1,),)
+        return tuple(zip(rows, tight_masks(rows, verts + rays)))
+
+    def _face(self, sel):
+        """The face generated by the vertices and rays in the bitmask `sel` and the lineality.
+
+        `sel` must select the generators of a nonempty face; the rest is read
+        off the incidence by `dd.from_incidence`, without double description.
+        """
+        verts, rays, lin = self._hom_gens
+        gens = [g for i, g in enumerate(verts + rays) if sel >> i & 1]
+        facets, equations = from_incidence(self.dim_ambient + 1,
+                                           ((a, m & sel) for a, m in self._incidence),
+                                           sel, self._hom_rows[1])
+        return _poly_from_cone(self.ambient, self.dim_ambient, gens, lin, facets, equations)
+
     def tail_cone(self):
+        """The recession cone, the face x0 = 0 of the homogenisation, without double description.
+
+        Its rays and lineality are this polyhedron's, and its facets are cut
+        out by the a-parts of the rows a.x >= b, so the incidence of those
+        a-parts with the rays gives its canonical rows.
+        """
         if self.empty:
             raise ValueError("empty polyhedron has no tail cone")
-        return Cone.from_rays(self.ambient, self.dim_ambient, self.rays, self.lineality)
+        rows = [a[:-1] for a in self.ineqs]
+        ineqs, eqs = from_incidence(self.dim_ambient, zip(rows, tight_masks(rows, self.rays)),
+                                    (1 << len(self.rays)) - 1, [e[:-1] for e in self.eqs])
+        return Cone(self.ambient, self.dim_ambient, self.rays, self.lineality, ineqs, eqs)
 
     def contains(self, x):
         _check_lengths(self.dim_ambient, [x], "point")
@@ -424,17 +477,21 @@ def min_value(p: Polyhedron, u):
         return None
     if any(dot(r, u) < 0 for r in p.rays):
         return None
-    return min(dot(v, u) for v in p.vertices)
+    return min(Fraction(dot(v[:-1], u), v[-1]) for v in p._hom_gens[0])
 
 
 def face_minimizing(p: Polyhedron, u):
-    """The face of p minimising the form u, or None when unbounded below."""
+    """The face of p minimising the form u, or None when unbounded below.
+
+    Read off p's incidence (`Polyhedron._face`), without double description.
+    """
     m = min_value(p, u)
     if m is None:
         return None
-    verts = [v for v in p.vertices if dot(v, u) == m]
-    rays = [r for r in p.rays if dot(r, u) == 0]
-    return Polyhedron.from_generators(p.ambient, p.dim_ambient, verts, rays, p.lineality)
+    # (u, -m) is valid on the homogenisation and tight exactly on the face
+    h = scale_to_int(tuple(u) + (-m,))
+    verts, rays, _ = p._hom_gens
+    return p._face(tight_masks([h], verts + rays)[0])
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -628,16 +685,23 @@ class Subdivision:
         # another cell or lie in the boundary of the declared support.  The
         # rows of a cell are its facets, so only cells of dimension dim have
         # facets of dimension dim - 1; the facet on row h is generated by the
-        # cell's vertices and rays on h = 0 and its lineality.
+        # cell's vertices and rays on h = 0 and its lineality.  A neighbour
+        # across the facet carries the row -h, so the cells with that row are
+        # tried first; the findings do not depend on the order.
         findings = []
         boundary = () if self.support is None else self.support._hom_rows[0]
+        by_row = {}
+        for _, q in cells:
+            for h in q._hom_rows[0]:
+                by_row.setdefault(h, []).append(q)
         for i, p in cells:
             if p.dim != dim:
                 continue
             verts, rays, lin = p._hom_gens
             for row, h in zip(p.ineqs, p._hom_rows[0]):
                 on = [g for g in verts + rays if dot(h, g) == 0]
-                if any(q is not p and _gens_in(q, on, lin) for _, q in cells):
+                tries = chain(by_row.get(neg(h), ()), (q for _, q in cells))
+                if any(q is not p and _gens_in(q, on, lin) for q in tries):
                     continue
                 if any(all(dot(b, g) == 0 for g in on + list(lin)) for b in boundary):
                     continue
@@ -768,10 +832,11 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
             if all(dot(h, y) != 0 for h in walls):
                 yield y
 
-    def across(label, a):
-        # the chamber on the other side of the facet of chamber `label` on a.x = 0
+    def across(label, a, mask):
+        # the chamber on the other side of the facet of chamber `label` on a.x = 0,
+        # whose rays are those in `mask`
         c = cache[label]
-        facet = Cone.from_ineqs(name, r, c.ineqs, (a,))
+        facet = c._face(mask)
         for y in generic_near(facet.relative_interior_point(), neg(a)):
             if dot(a, y) < 0 and (nxt := label_of(y)):
                 d = chamber(nxt)
@@ -788,11 +853,11 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
     crossed = set()  # (chamber label, facet row) pairs already walked
     while queue:
         label = queue.popleft()
-        for a in cache[label].ineqs:
+        for a, mask in cache[label]._incidence:
             # a facet row of the support marks a facet on the support's boundary
             if (label, a) in crossed or a in support.ineqs:
                 continue
-            nxt = across(label, a)
+            nxt = across(label, a, mask)
             crossed.add((nxt, neg(a)))
             if nxt not in found:
                 if len(found) >= max_chambers:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ppfan._vecops import rref_primitive, scale_to_int, sign_canonical
+from ppfan._vecops import reduce_mod_rows, rref_primitive, scale_to_int, sign_canonical
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
@@ -386,3 +386,39 @@ def test_eliminations_on_named_matrices(rows):
     assert got == outcome(ref_rational_left_inverse, rows)
     raised = isinstance(got, tuple)
     assert raised == (matrix_rank(rows) < n)
+
+
+def ref_reduce_mod_rows(v, rows):
+    # the Fraction reduction that `reduce_mod_rows` replaced, before scaling
+    if not rows:
+        return tuple(v)
+    out = [Fraction(x) for x in v]
+    for row in rows:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if out[p] != 0:
+            f = out[p] / row[p]
+            out = [x - f * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+@HYP
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=4),
+    st.tuples(*[st.integers(-6, 6)] * n),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    st.booleans())))
+def test_reduce_mod_rows_matches_fraction_reference(case):
+    mat, v, coeffs, flips, in_span = case
+    rows = rref_primitive(mat, len(v))
+    # RREF rows with some pivots made negative
+    rows = tuple(tuple(-x for x in r) if f else r for r, f in zip(rows, flips))
+    if in_span:  # the result is zero
+        v = tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(len(v)))
+    got = reduce_mod_rows(v, rows)
+    assert got == scale_to_int(ref_reduce_mod_rows(v, rows))
+    assert all(type(x) is int for x in got)
+    if in_span:
+        assert not any(got)
+    for r in rows:
+        assert got[next(i for i, x in enumerate(r) if x)] == 0

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import ppfan.dd as dd
 from ppfan._vecops import frac_str, is_zero, scale_to_int
-from ppfan.dd import dd_cone
+from ppfan.dd import dd_cone, from_incidence
+from ppfan.divisors import Label, PPDivisor
 from ppfan.lattice import LatticeMap, RationalMap, hnf_rows
 from ppfan.polyhedra import (
     Cone,
@@ -1056,3 +1058,131 @@ def test_linear_image_matches_fraction_version(d, data):
     else:
         f = RationalMap(data.draw(_vectors(_rats, d, min_size=m, max_size=m)), "Q", "B", d)
     assert map_image(p, f) == ref_linear_image(p, f.entries, "B", m)
+
+
+# --- faces, tail cones and facets read off the incidence -------------------
+#
+# The references are the old bodies: each rebuilds the face, tail cone or
+# facet from generators (or rows) by double description.
+
+def ref_min_value(p, u):
+    if any(_dot(l, u) != 0 for l in p.lineality) or any(_dot(r, u) < 0 for r in p.rays):
+        return None
+    return min(_dot(v, u) for v in p.vertices)
+
+
+def ref_face_minimizing(p, u):
+    m = ref_min_value(p, u)
+    if m is None:
+        return None
+    verts = [v for v in p.vertices if _dot(v, u) == m]
+    rays = [r for r in p.rays if _dot(r, u) == 0]
+    return Polyhedron.from_generators(p.ambient, p.dim_ambient, verts, rays, p.lineality)
+
+
+def ref_tail_cone(p):
+    return Cone.from_rays(p.ambient, p.dim_ambient, p.rays, p.lineality)
+
+
+def ref_cone_facets(c):
+    return [Cone.from_ineqs(c.ambient, c.dim_ambient, c.ineqs, c.eqs + (a,)) for a in c.ineqs]
+
+
+@st.composite
+def face_cases(draw):
+    """(p, forms): a nonempty polyhedron, maybe a single point, and forms to minimise.
+
+    The forms include ones unbounded below (minus a ray, or off the
+    lineality), zero, and rational ones.
+    """
+    d = draw(st.integers(1, 3))
+    if draw(st.integers(0, 5)):
+        p = draw(polyhedra(d))
+        assume(not p.empty)
+    else:
+        p = poly_V([draw(st.tuples(*[_rats] * d))], d=d)
+    forms = draw(st.lists(st.tuples(*[st.one_of(_ints, _rats)] * d), min_size=1, max_size=3))
+    forms += [tuple(-x for x in r) for r in p.rays[:1]] + list(p.lineality[:1])
+    forms.append((0,) * d)
+    return p, forms
+
+
+@HYP
+@given(face_cases())
+def test_faces_and_tail_cones_match_rebuild(case):
+    p, forms = case
+    tail = p.tail_cone()
+    assert tail == ref_tail_cone(p)
+    assert tail.facets() == ref_cone_facets(tail)
+    for u in forms:
+        assert min_value(p, u) == ref_min_value(p, u)
+        face = face_minimizing(p, u)
+        assert face == ref_face_minimizing(p, u)
+        if face is None:
+            continue
+        # before the x0 = 0 facet is dropped, the incidence gives the whole
+        # canonical description of the face's homogenisation cone
+        verts, rays, lin = p._hom_gens
+        picked = [v in face.vertices for v in p.vertices] + [r in face.rays for r in p.rays]
+        sel = sum(1 << i for i, b in enumerate(picked) if b)
+        on = [g for g, b in zip(verts + rays, picked) if b]
+        masked = [(a, m & sel) for a, m in p._incidence]
+        assert from_incidence(p.dim_ambient + 1, masked, sel, p._hom_rows[1]) == \
+            dd.dd_pair(p.dim_ambient + 1, on, lin)[:2]
+        # the face is canonical, so its own faces and tail cone can be read off too
+        assert face.tail_cone() == ref_tail_cone(face)
+        for w in forms:
+            assert face_minimizing(face, w) == ref_face_minimizing(face, w)
+
+
+@st.composite
+def cones(draw):
+    """Pointed or not, full-dimensional or lower-dimensional (with an equation)."""
+    d = draw(st.integers(1, 4))
+    rays = draw(_vectors(_ints, d, max_size=5))
+    lin = draw(_vectors(_ints, d, max_size=1))
+    if draw(st.booleans()):
+        rays = [r[:-1] + (0,) for r in rays]
+        lin = [l[:-1] + (0,) for l in lin]
+    return Cone.from_rays("Q", d, [r for r in rays if any(r)], [l for l in lin if any(l)])
+
+
+@HYP
+@given(cones())
+def test_cone_facets_match_rebuild(c):
+    facets = c.facets()
+    assert facets == ref_cone_facets(c)
+    for f in facets:
+        assert f.facets() == ref_cone_facets(f)
+
+
+def test_faces_tail_cones_facets_and_pp_divisors_run_no_kernel(monkeypatch):
+    # everything below reads the canonical data already built; a wrapper on
+    # `ppfan.dd.process` would see any double description run
+    strip = poly_V([(0, 0), (1, 0)], rays=[(0, 1)])
+    slab = poly_V([(0, 0, 1), (1, 0, 1)], rays=[(0, 1, 0)], lin=[(1, 1, 0)], d=3)
+    point = poly_V([(F(1, 2), 3)])
+    cone = Cone.from_rays("Q", 3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)])
+    shifted = strip.translate((2, 1))
+    calls = []
+    kernel = dd.process
+
+    def counting(dim, constraints):
+        calls.append(dim)
+        return kernel(dim, constraints)
+
+    monkeypatch.setattr(dd, "process", counting)
+    faces = [face_minimizing(strip, (1, 0)), face_minimizing(strip, (0, 1)),
+             face_minimizing(slab, (0, 0, 1)), face_minimizing(slab, (1, -1, 0)),
+             face_minimizing(point, (1, 1))]
+    assert face_minimizing(strip, (0, -1)) is None
+    tails = [strip.tail_cone(), slab.tail_cone(), point.tail_cone(), faces[0].tail_cone()]
+    facets = cone.facets() + tails[0].facets()
+    div = PPDivisor("Q", 2, tails[0], ((Label.named("a"), strip), (Label.named("b"), shifted),
+                                       (Label.named("c"), Polyhedron.empty_in("Q", 2))))
+    assert calls == []
+    monkeypatch.setattr(dd, "process", kernel)
+    assert faces[0] == poly_V([(0, 0)], rays=[(0, 1)])
+    assert faces[1] == poly_V([(0, 0), (1, 0)])
+    assert tails[0] == Cone.from_rays("Q", 2, [(0, 1)])
+    assert len(facets) == 5 and div.tail == tails[0]
