@@ -189,7 +189,7 @@ def build_parser():
     p = sub.add_parser("fansy", help="Gr(2,n) fansy divisor, closed form and/or recipe")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["closed", "recipe", "both"], default="both")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=9)
     p.set_defaults(fn=cmd_fansy)
 
     p = sub.add_parser("verify", help="run the full verification battery for one n")

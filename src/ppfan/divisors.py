@@ -19,6 +19,7 @@ from .polyhedra import (
     Polyhedron,
     Subdivision,
     _check_same_ambient,
+    _tiles,
     intersect,
     min_value,
 )
@@ -226,7 +227,11 @@ class Report:
 
 
 def check_subdivision_structure(fansy: FansyDivisor) -> Report:
-    """Subdivision axioms per label, plus the tails forming a fan."""
+    """Subdivision axioms per label, plus the tails forming a fan.
+
+    Distinct tails that pass the facet-matching certificate (`_tiles`) form
+    a complete fan; otherwise every pair is intersected.
+    """
     findings = []
     for label in fansy.labels:
         ok, cell_findings = fansy.subdivision_for(label).check()
@@ -236,11 +241,12 @@ def check_subdivision_structure(fansy: FansyDivisor) -> Report:
     for k, d in fansy.cells:
         if not any(d.tail == c for _, c in tails):
             tails.append((k, d.tail))
-    for i in range(len(tails)):
-        for j in range(i + 1, len(tails)):
-            if not tails[i][1].common_face_with(tails[j][1]):
-                findings.append(
-                    f"tail cones of cells {tails[i][0]!r} and {tails[j][0]!r} do not meet in a common face")
+    if not _tiles([c for _, c in tails], fansy.dim_ambient):
+        for i in range(len(tails)):
+            for j in range(i + 1, len(tails)):
+                if not tails[i][1].common_face_with(tails[j][1]):
+                    findings.append(f"tail cones of cells {tails[i][0]!r} and "
+                                    f"{tails[j][0]!r} do not meet in a common face")
     return Report(not findings, tuple(findings))
 
 

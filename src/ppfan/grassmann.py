@@ -423,7 +423,7 @@ def fansy_closed_form(n) -> FansyDivisor:
     return FansyDivisor(rs.ambient, rs.dim, tuple(labels), tuple(cells))
 
 
-def fansy_via_recipe(n, max_n=8, verify=True) -> FansyDivisor:
+def fansy_via_recipe(n, max_n=9, verify=True) -> FansyDivisor:
     """Full pipeline: fibers over the partition rays, retracted, boundary faces
     projected along the degree direction.  Cells are keyed by the coordinate
     pairs; compare with the closed form through divisors.fansy_equal.

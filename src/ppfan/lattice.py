@@ -180,6 +180,13 @@ def smith_normal_form(matrix):
     )
 
 
+def _check_not_ragged(rows):
+    """Raise ValueError naming the row widths when they are not all equal."""
+    widths = sorted({len(r) for r in rows})
+    if len(widths) > 1:
+        raise ValueError(f"ragged matrix: rows of widths {widths}")
+
+
 @dataclass(frozen=True)
 class LatticeMap:
     """Integer matrix between named lattices, acting on column vectors.
@@ -196,9 +203,7 @@ class LatticeMap:
     def __post_init__(self):
         ent = tuple(tuple(int(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", ent)
-        widths = {len(r) for r in ent}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
+        _check_not_ragged(ent)
         if ent:
             object.__setattr__(self, "width", len(ent[0]))
 
@@ -253,6 +258,7 @@ class RationalMap:
     def __post_init__(self):
         ent = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", ent)
+        _check_not_ragged(ent)
         if ent:
             object.__setattr__(self, "width", len(ent[0]))
 

@@ -26,11 +26,18 @@ coordinate.
 
 `Subdivision.check` reads each facet off the cell's own generators: the
 facet on a row is generated by the cell's vertices and rays on it and the
-cell's lineality.  A pair of full-dimensional cells is first decided by
-descending along separating facet rows (`_meets_in_common_face`); only a
-pair that descent cannot decide, or one with a lower-dimensional cell, is
-intersected by double description, which also names the overlap witness.
-On the Gr(2,n) subdivisions (n = 5, 6, 7) descent decides every pair.
+cell's lineality.  It first tries a facet-matching certificate (`_tiles`):
+every facet, keyed by its row up to sign and those generators, is shared by
+exactly one cell on its other side or lies on the support's boundary, and
+one interior point lies in one cell only.  That proves the cells subdivide
+the support face to face, in time linear in the number of facets; the same
+certificate shows that distinct tail cones form a complete fan.  Only when
+it fails are the axioms checked pair by pair, for the findings: a pair of
+full-dimensional cells is first decided by descending along separating
+facet rows (`_meets_in_common_face`); only a pair that descent cannot
+decide, or one with a lower-dimensional cell, is intersected by double
+description, which also names the overlap witness.  Every Gr(2,n)
+subdivision and tail fan (n = 4 to 9) passes the certificate.
 """
 
 from collections import deque
@@ -510,8 +517,13 @@ def linear_image(p: Polyhedron, entries, codomain, dim_codomain) -> Polyhedron:
 
     The arithmetic is on integers: with q the common denominator of the
     entries, a homogeneous vertex (N, D) of p maps to (q*entries) N / (q D),
-    and rays and lines map to primitive multiples of their images.
+    and rays and lines map to primitive multiples of their images.  Every
+    row of the matrix must have width p.dim_ambient.
     """
+    for row in entries:
+        if len(row) != p.dim_ambient:
+            raise ValueError(f"matrix row {tuple(row)!r} has width {len(row)}, "
+                             f"expected {p.dim_ambient}")
     if p.empty:
         return Polyhedron.empty_in(codomain, dim_codomain)
     q = lcm(*(x.denominator for row in entries for x in row))
@@ -633,19 +645,21 @@ class Subdivision:
         bigger one (charts of degenerate weight configurations do both); the
         complex is generated by the survivors.
         """
-        reps = []
-        for _, p in self.cells:
-            if not p.empty and p not in reps:
-                reps.append(p)
-        out = []
-        for p in reps:
-            if not any(q != p and p.is_face_of(q) for q in reps):
-                out.append(p)
-        return out
+        reps = list(dict.fromkeys(p for _, p in self.cells if not p.empty))
+        # a proper face has a smaller dimension
+        if len({p.dim for p in reps}) == 1:
+            return reps
+        return [p for p in reps if not any(q != p and p.is_face_of(q) for q in reps)]
 
     def check(self):
         """Verify the subdivision axioms; returns (ok, findings).
 
+        The maximal cells are first tried by the facet-matching certificate
+        `_tiles` (its docstring has the proof): when every facet is shared
+        with exactly one cell on its other side or lies on the support's
+        boundary, and one interior point is covered once, the cells
+        subdivide the support and the answer is (True, []).  Otherwise the
+        axioms are checked one by one, and the findings name what broke.
         A pair of cells of full dimension is first tried by
         `_meets_in_common_face`, on the generators and rows the cells hold.
         Only a pair it cannot decide, or a pair with a lower-dimensional
@@ -658,7 +672,10 @@ class Subdivision:
             findings.append("no nonempty cells")
             return False, findings
         dim = self.dim_ambient if self.support is None else self.support.dim
-        cells = list(enumerate(self.maximal_cells()))
+        maximal = self.maximal_cells()
+        if _tiles(maximal, dim, self.support):
+            return True, []
+        cells = list(enumerate(maximal))
         for i, p in cells:
             if p.dim != dim:
                 findings.append(f"maximal cell {i} has dimension {p.dim}, expected {dim}")
@@ -722,6 +739,81 @@ def _subset_of(p, q):
     if q.empty:
         return False
     return _gens_in(q, p._hom_gens[0], ()) and _cone_leq(p, q)
+
+
+def _tiles(cells, dim, support=None):
+    """True when the distinct `cells` provably subdivide `support`; False when undecided.
+
+    The cells are all Polyhedron (in homogeneous coordinates) or all Cone,
+    and `support` (a Polyhedron) None means the whole ambient space.  The
+    certificate reads only the rows and generators the cells hold:
+
+    (a) every cell has dimension `dim` and the first cell's lineality, and
+        lies in the support;
+    (b) each facet is keyed by its row up to sign and the cell's generators
+        on it; no key has two cells on one side of its row, and a key with
+        one cell lies on a facet row of the support;
+    (c) a relative interior point of the first cell lies in no other cell.
+
+    Soundness.  By (a) the cells span the affine hull A of the support S.  A
+    key fixes the facet (its generators plus the common lineality), so two
+    cells on one key share that facet from opposite sides.
+
+    Covering.  For x in the relative interior S° of S on no facet
+    hyperplane, let c(x) count the cells containing x.  Two such points are
+    joined by a path in S° that meets the hyperplanes one at a time, each at
+    a point z on no other facet hyperplane (where two hyperplanes meet has
+    codimension 2 and does not disconnect S°).  A cell holding z has it in its
+    interior, and then covers both sides, or in the relative interior of its
+    facet through z, and then covers one side.  By (b) these facets pair up,
+    one cell on each side (a facet on a row of the support misses S°), so c
+    does not change at z and is constant.  Near the point of (c) it is 1.
+    So the cells have disjoint interiors and, being closed, cover S.
+
+    Face to face.  At a point x of S the tangent cones at x of the cells
+    through x satisfy the same hypotheses: they have disjoint interiors,
+    cover the tangent cone of S, and their facets are the tangent cones of
+    the cells' facets through x, paired or on the boundary as before.  A
+    path through the interior of the tangent cone of S crossing one
+    hyperplane at a time passes from cone to cone across a shared facet, and a facet of a cone has the
+    cone's lineality, so all these cones have one lineality space V_x.  For
+    a cell P through x, V_x is the span of F - x, where F is the face of P
+    with x in its relative interior; as V_x lies in the tangent cone of every
+    cell Q through x, Q contains a neighbourhood of x in F.  Now take cells
+    P, Q, a point x in the relative interior of P ∩ Q, and F as above.  The
+    set F ∩ Q contains a neighbourhood in F of each of its points in the
+    relative interior of F (the argument at x applies there), and it is
+    closed, so it contains all of F.  The smallest face of P holding a
+    relative interior point of the convex set P ∩ Q contains it, so
+    P ∩ Q ⊆ F ⊆ P ∩ Q: P ∩ Q is a face of P, and likewise of Q.
+    """
+    if not cells:
+        return False
+    lin = cells[0].lineality
+    if any(c.dim != dim or c.lineality != lin for c in cells):
+        return False
+    if support is not None and not all(_subset_of(c, support) for c in cells):
+        return False
+    sides = {}  # key -> [cell with the canonical row, cell with its negation]
+    for i, c in enumerate(cells):
+        if isinstance(c, Cone):
+            rows, gens = c.ineqs, c.rays
+        else:
+            rows, gens = c._hom_rows[0], c._hom_gens[0] + c._hom_gens[1]
+        for h in rows:
+            key = (sign_canonical(h), frozenset(g for g in gens if dot(h, g) == 0))
+            side = sides.setdefault(key, [None, None])
+            s = key[0] != h
+            if side[s] is not None:
+                return False
+            side[s] = i
+    # the lineality of a cell in the support lies on every row of the support
+    boundary = () if support is None else support._hom_rows[0]
+    for (_, on), side in sides.items():
+        if None in side and not any(all(dot(b, g) == 0 for g in on) for b in boundary):
+            return False
+    x = cells[0].relative_interior_point()
+    return not any(c.contains(x) for c in cells[1:])
 
 
 def _meets_in_common_face(p, q):

@@ -151,7 +151,7 @@ def test_non_integer_or_empty_weights_exit_2(capsys, tmp_path, data, needle):
 
 
 def test_fansy_guard_exit_2(capsys):
-    code, _, err = run(capsys, "fansy", "--n", "9")
+    code, _, err = run(capsys, "fansy", "--n", "10")
     assert code == 2
 
 

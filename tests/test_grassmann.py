@@ -304,7 +304,7 @@ def test_n5_balanced_edge():
 
 def test_recipe_guard():
     with pytest.raises(ValueError):
-        fansy_via_recipe(9)
+        fansy_via_recipe(10)
 
 
 def test_intersect_pp_associative_on_cells():

@@ -22,6 +22,7 @@ from ppfan.polyhedra import (
     _cone_leq,
     _meets_in_common_face,
     _subset_of,
+    _tiles,
     common_refinement_fan,
     dual_description,
     face_minimizing,
@@ -934,6 +935,142 @@ def test_subdivision_check_runs_no_dd_on_gr5(monkeypatch):
     monkeypatch.setattr(Subdivision, "check", counting_check)
     assert check_subdivision_structure(fansy).passed
     assert len(checks) == len(fansy.labels) and inside == []
+
+
+# --- the facet-matching certificate -----------------------------------------
+#
+# `_tiles` may only accept cells that subdivide their support face to face:
+# whenever it accepts, the intersect-every-pair reference finds nothing.
+
+
+def _certified(sub):
+    dim = sub.dim_ambient if sub.support is None else sub.support.dim
+    return _tiles(sub.maximal_cells(), dim, sub.support)
+
+
+@settings(HYP, max_examples=300)
+@given(subdivisions())
+def test_certificate_implies_ref_check(sub):
+    if _certified(sub):
+        assert ref_check(sub) == (True, [])
+
+
+def _intact_subdivisions():
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    yield induced_subdivision("Q", grid, [0, 1, 3, 2, 0, 1, 5, 1, 0])
+    yield induced_subdivision("Q", grid, [(x * x + y * y) for x, y in grid])
+    cube = list(itertools.product(range(2), repeat=3))
+    yield induced_subdivision("Q", cube, [0, 2, 1, 0, 3, 0, 1, 4])
+    # flat: the square {z = x + y}, its cells and support carry an equation
+    yield induced_subdivision("Q", [(x, y, x + y) for x, y in grid], [0, 1, 3, 2, 0, 1, 5, 1, 0])
+
+
+@pytest.mark.parametrize("sub", list(_intact_subdivisions()), ids=["grid", "squares", "cube", "flat"])
+def test_certificate_accepts_intact_and_rejects_mutants(sub):
+    assert len(sub.cells) >= 2
+    for support in (sub.support, None):
+        intact = Subdivision("Q", sub.dim_ambient, sub.cells, support)
+        # bounded cells do not cover the whole space
+        assert _certified(intact) == (support is not None)
+        assert intact.check() == ref_check(intact)
+    cells = list(sub.cells)
+    (l0, p0), (_, p1) = cells[:2]
+    hull = poly_V(p0.vertices + p1.vertices, d=sub.dim_ambient)
+    shift = tuple(F(1, 2) if i == 0 else 0 for i in range(sub.dim_ambient))
+    mutants = {
+        "drop": cells[1:],
+        "translate": [(l0, p0.translate(shift))] + cells[1:],
+        "hull": cells + [("hull", hull)],
+    }
+    for name, mutated in mutants.items():
+        bad = Subdivision("Q", sub.dim_ambient, tuple(mutated), sub.support)
+        assert not _certified(bad), name
+        ok, findings = bad.check()
+        assert not ok and (ok, findings) == ref_check(bad), name
+
+
+def test_certificate_on_cones():
+    from ppfan.grassmann import tail_fan
+
+    cones = tail_fan(2, 5).cones()
+    d = cones[0].dim_ambient
+    assert _tiles(cones, d)
+    assert not _tiles(cones[1:], d)                   # a hole
+    assert not _tiles(cones + [cones[0].dual()], d)   # not a tiling
+    # the upper half-plane over two quadrants: facets do not match
+    up = Cone.from_rays("A", 2, [(0, 1)], [(1, 0)])
+    q3 = Cone.from_rays("A", 2, [(-1, 0), (0, -1)])
+    q4 = Cone.from_rays("A", 2, [(1, 0), (0, -1)])
+    low = Cone.from_rays("A", 2, [(0, -1)], [(1, 0)])
+    assert not _tiles([up, q3, q4], 2) and not up.common_face_with(q3)
+    assert _tiles([up, low], 2)
+    assert not _tiles([up, low, q4], 2)
+    # two complete fans overlaid: every facet matches, every point is covered twice
+    quadrants = [Cone.from_rays("A", 2, [a, b]) for a, b in
+                 [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]]
+    diagonal = [Cone.from_rays("A", 2, [a, b]) for a, b in
+                [((1, 1), (-1, 1)), ((-1, 1), (-1, -1)), ((-1, -1), (1, -1)), ((1, -1), (1, 1))]]
+    assert _tiles(quadrants, 2) and _tiles(diagonal, 2)
+    assert not _tiles(quadrants + diagonal, 2)
+
+
+def test_certificate_rejects_two_overlaid_subdivisions():
+    square = poly_V([(0, 0), (2, 0), (0, 2), (2, 2)])
+    halves = [poly_V([(0, 0), (1, 0), (0, 2), (1, 2)]), poly_V([(1, 0), (2, 0), (1, 2), (2, 2)])]
+    layers = [poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]), poly_V([(0, 1), (2, 1), (0, 2), (2, 2)])]
+    for cells in (halves, layers):
+        assert _tiles(cells, 2, square)
+    sub = Subdivision("Q", 2, tuple(enumerate(halves + layers)), square)
+    assert not _certified(sub)
+    assert sub.check() == ref_check(sub) and not sub.check()[0]
+
+
+def test_certificate_rejects_cell_leaving_support():
+    # the quadrant's facets lie on rows of the triangle, but it is not inside it
+    triangle = poly_V([(0, 0), (1, 0), (0, 1)])
+    quadrant = poly_V([(0, 0)], [(1, 0), (0, 1)])
+    sub = Subdivision("Q", 2, ((0, quadrant),), triangle)
+    assert not _certified(sub)
+    assert sub.check() == ref_check(sub) == (False, ["maximal cell 0 leaves the declared support"])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_structure_check_runs_no_kernel_and_no_pair_descent(monkeypatch, n):
+    import ppfan.polyhedra as polyhedra
+    from ppfan.divisors import check_subdivision_structure
+    from ppfan.grassmann import fansy_closed_form
+
+    fansy = fansy_closed_form(n)
+    calls = []
+    real_process, real_meets = dd.process, polyhedra._meets_in_common_face
+
+    def counting_process(*args, **kwargs):
+        calls.append("process")
+        return real_process(*args, **kwargs)
+
+    def counting_meets(*args, **kwargs):
+        calls.append("meets")
+        return real_meets(*args, **kwargs)
+
+    monkeypatch.setattr(dd, "process", counting_process)
+    monkeypatch.setattr(polyhedra, "_meets_in_common_face", counting_meets)
+    assert check_subdivision_structure(fansy).passed
+    assert calls == []
+
+
+def test_linear_image_rejects_wide_matrix():
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="width 3, expected 2"):
+        linear_image(tri, ((1, 0, 0), (0, 1, 0)), "R", 2)
+    with pytest.raises(ValueError, match="width 1"):
+        linear_image(tri, ((1,), (0, 1)), "R", 2)
+
+
+def test_rational_map_rejects_ragged_matrix():
+    with pytest.raises(ValueError, match=r"widths \[2, 3\]"):
+        RationalMap(((1, 2), (3, 4, 5)), "A", "B")
+    with pytest.raises(ValueError, match=r"widths \[2, 3\]"):
+        LatticeMap(((1, 2), (3, 4, 5)), "A", "B")
 
 
 # --- one DD run per conversion, against the multi-run definitions -----------
