@@ -1,7 +1,10 @@
 """Small exact-arithmetic vector helpers shared by the polyhedral kernels.
 
-Everything works on plain tuples/lists of Python ints or Fractions; no
-floats anywhere.
+Vectors are plain tuples/lists of Python ints; `scale_to_int` turns a
+vector of ints and Fractions into one, and rejects floats.  `rref` is the
+one elimination behind every rank, solve and canonical basis: it is
+fraction-free and returns integer rows, so a caller that needs rationals
+divides once, at the end.
 """
 
 from fractions import Fraction
@@ -63,15 +66,20 @@ def sign_canonical(v):
 
 
 def rref(rows, width):
-    """Gauss–Jordan elimination over Q, with pivots in the first `width` columns.
+    """Fraction-free Gauss–Jordan elimination, with pivots in the first `width` columns.
 
-    Returns (work, pivots): `work` holds the rows as lists of Fractions, the
-    i-th of them with a 1 in column pivots[i] and zeros in every other pivot
-    column; the rows past len(pivots) are zero in the first `width` columns.
+    Returns (work, pivots): `work` holds the rows as tuples of ints, each a
+    positive multiple of the rational reduced row echelon row, so the i-th
+    is zero in every pivot column but pivots[i], where it is positive, and
+    the rows past len(pivots) are zero in the first `width` columns.
     Columns after `width` (an augmented right-hand side) are carried along.
     The pivot of a column is the first remaining row that is nonzero there.
+    Input rows are scaled to integers first (`scale_to_int`, which rejects
+    floats); a row is eliminated as pv*row - f*top with the pivot entry pv
+    made positive, then divided by its gcd, so entries stay small and every
+    row stays primitive.
     """
-    work = [[Fraction(x) for x in r] for r in rows]
+    work = [scale_to_int(r) for r in rows]
     pivots = []
     for col in range(width):
         r = len(pivots)
@@ -80,13 +88,16 @@ def rref(rows, width):
         piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        top = work[r] = [x / pv for x in work[r]]
+        top = work[piv]
+        work[piv] = work[r]
+        pv = top[col]
+        if pv < 0:
+            top, pv = neg(top), -pv
+        work[r] = top
         for i, row in enumerate(work):
             f = row[col]
             if i != r and f != 0:
-                work[i] = [x - f * y for x, y in zip(row, top)]
+                work[i] = primitive([pv * x - f * y for x, y in zip(row, top)])
         pivots.append(col)
     return work, pivots
 
@@ -94,11 +105,13 @@ def rref(rows, width):
 def rref_primitive(rows, width):
     """Reduced row echelon of a rational row space, rows scaled to primitive ints.
 
-    The result is the canonical basis of the *saturated* integer lattice of
-    the row space (pivot entries positive, zeros above and below pivots).
+    The nonzero rows of `rref`, unchanged: a canonical basis of the row
+    space (pivot entries positive, zeros above and below pivots).  It need
+    not span the saturated integer lattice: (2, 0, 1) and (0, 2, 1) do not
+    span (1, 1, 1).
     """
     work, pivots = rref(rows, width)
-    return tuple(scale_to_int(row) for row in work[:len(pivots)])
+    return tuple(work[:len(pivots)])
 
 
 def reduce_mod_rows(v, rows):

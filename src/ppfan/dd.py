@@ -24,7 +24,7 @@ def dd_cone(dim, ineqs, eqs):
     All input vectors must be integer tuples of length `dim` (ValueError
     naming the first one that is not that long).  Returns
     (rays, lineality): rays are primitive, reduced modulo the lineality
-    space and sorted; the lineality basis is the canonical saturated RREF.
+    space and sorted; the lineality basis is the canonical primitive RREF.
     The result is independent of input order and duplicates.
     """
     constraints = [(tuple(e), True) for e in eqs] + [(tuple(a), False) for a in ineqs]
@@ -58,7 +58,7 @@ def from_incidence(dim, incidence, full, eqs):
     spans equations the cone satisfies.  Every row must be valid on the cone,
     and every facet of the cone must be cut out by one of the rows.  A row
     tight on every generator is an implicit equation; the equations span
-    `eqs` and the implicit ones, as the canonical saturated RREF.  The facets
+    `eqs` and the implicit ones, as the canonical primitive RREF.  The facets
     are the other rows whose masks are inclusion-maximal, reduced modulo the
     equations; rows with the same mask give the same facet.  Lineality is not
     in the masks: the faces of a cone that contain its lineality space are

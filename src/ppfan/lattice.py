@@ -7,7 +7,11 @@ lattices floating around a weight setup is the main bug class here.
 Matrices are tuples of row tuples and act on column vectors: the matrix of
 ``f`` has one row per codomain coordinate, one column per domain coordinate.
 All integer arithmetic is arbitrary precision, rationals are
-``fractions.Fraction`` (always in lowest terms by construction).
+``fractions.Fraction`` (always in lowest terms by construction).  Matrix
+entries are ints or Fractions; a float is a ValueError, never rounded.
+`matrix_rank`, `rational_solve` and `rational_left_inverse` read the integer
+rows of the one fraction-free elimination `_vecops.rref`; the last two make
+their Fractions in a final division by each row's pivot entry.
 """
 
 from dataclasses import dataclass
@@ -48,7 +52,7 @@ def _xgcd(a, b):
 
 
 def matrix_rank(m):
-    """Rank over Q."""
+    """Rank over Q: the number of pivots of the elimination."""
     return len(rref(m, len(m[0]) if m else 0)[1])
 
 
@@ -180,6 +184,29 @@ def smith_normal_form(matrix):
     )
 
 
+def _exact_entries(rows, integral):
+    """The rows as tuples of ints (`integral`) or of Fractions.
+
+    Ints pass, and so do Fractions (integral ones only when `integral`);
+    strings such as "1/2", which `to_json` writes, are read as Fractions
+    when not `integral`.  Any other entry, a float or a bool say, is a
+    ValueError naming it: nothing is silently truncated or rounded.
+    """
+    out = []
+    for row in rows:
+        new = []
+        for x in row:
+            if isinstance(x, str) and not integral:
+                x = Fraction(x)
+            if (isinstance(x, bool) or not isinstance(x, (int, Fraction))
+                    or (integral and x.denominator != 1)):
+                kind = "an integer" if integral else "an int or a Fraction"
+                raise ValueError(f"matrix entry {x!r} in row {tuple(row)!r} is not {kind}")
+            new.append(int(x) if integral else Fraction(x))
+        out.append(tuple(new))
+    return tuple(out)
+
+
 def _check_not_ragged(rows):
     """Raise ValueError naming the row widths when they are not all equal."""
     widths = sorted({len(r) for r in rows})
@@ -201,7 +228,7 @@ class LatticeMap:
     width: int = 0
 
     def __post_init__(self):
-        ent = tuple(tuple(int(x) for x in row) for row in self.entries)
+        ent = _exact_entries(self.entries, integral=True)
         object.__setattr__(self, "entries", ent)
         _check_not_ragged(ent)
         if ent:
@@ -256,7 +283,7 @@ class RationalMap:
     width: int = 0
 
     def __post_init__(self):
-        ent = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        ent = _exact_entries(self.entries, integral=False)
         object.__setattr__(self, "entries", ent)
         _check_not_ragged(ent)
         if ent:
@@ -346,12 +373,12 @@ def rational_solve(matrix, rhs):
     Free variables are set to zero, so the answer is deterministic.
     """
     n = len(matrix[0]) if matrix else 0
-    work, pivots = rref([list(row) + [rhs[i]] for i, row in enumerate(matrix)], n)
+    work, pivots = rref([tuple(row) + (rhs[i],) for i, row in enumerate(matrix)], n)
     if any(row[n] != 0 for row in work[len(pivots):]):
         return None
     x = [Fraction(0)] * n
     for row, col in zip(work, pivots):
-        x[col] = row[n]
+        x[col] = Fraction(row[n], row[col])
     return tuple(x)
 
 
@@ -359,8 +386,9 @@ def rational_left_inverse(matrix):
     """Exact left inverse of a full-column-rank matrix (rows of the RREF transform)."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    work, pivots = rref([list(row) + [1 if j == i else 0 for j in range(m)]
+    work, pivots = rref([tuple(row) + tuple(1 if j == i else 0 for j in range(m))
                          for i, row in enumerate(matrix)], n)
     if len(pivots) < n:
         raise ValueError("matrix does not have full column rank")
-    return tuple(tuple(row[n:]) for row in work[:n])
+    return tuple(tuple(Fraction(x, row[col]) for x in row[n:])
+                 for row, col in zip(work, pivots))

@@ -3,7 +3,7 @@
 Every object carries both a generator description (vertices, rays, lineality)
 and an inequality description (halfspaces, equations), kept in a canonical
 form: rays are primitive, reduced modulo the lineality space and sorted,
-the lineality basis is the saturated RREF, halfspace rows are primitive
+the lineality basis is the primitive RREF, halfspace rows are primitive
 integer vectors.  Equality of polyhedra is plain structural equality of the
 canonical data, which is what the golden tests rely on.
 
@@ -47,7 +47,8 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import lcm
 
-from ._vecops import dot, frac_str, is_zero, neg, primitive, scale_to_int, sign_canonical
+from ._vecops import (dot, frac_str, is_zero, neg, primitive, reduce_mod_rows, scale_to_int,
+                      sign_canonical)
 from .dd import dd_pair, from_incidence, tight_masks
 from .lattice import hnf_rows, matrix_rank, rational_left_inverse
 
@@ -335,12 +336,36 @@ class Polyhedron:
         return _gens_in(self, (scale_to_int(tuple(x) + (1,)),), ())
 
     def translate(self, v):
+        """self + v, from the canonical data without double description.
+
+        Rays and lineality stay.  The shift is first reduced modulo the
+        lineality (canonical vertices are), then added to every vertex; a
+        row a.x >= b (or a.x == b) becomes a.x >= b + a.v, rescaled to
+        primitive integers.  The shift keeps every a-part, so facet rows stay
+        reduced modulo the equations, and the equations, which are the
+        primitive RREF rows of their span (their own HNF), stay in RREF: each
+        shifted row is again canonical.
+        """
         _check_lengths(self.dim_ambient, [v], "translation vector")
         if self.empty:
             return self
-        verts = [tuple(Fraction(a) + Fraction(b) for a, b in zip(vert, v)) for vert in self.vertices]
-        return Polyhedron.from_generators(self.ambient, self.dim_ambient,
-                                          verts, self.rays, self.lineality)
+        # v = N/D with D > 0, reduced modulo the lineality rows (l, 0)
+        *num, den = reduce_mod_rows(scale_to_int(tuple(v) + (1,)),
+                                    [l + (0,) for l in self.lineality])
+
+        def shift(row):
+            a, b = row[:-1], row[-1]
+            return primitive(tuple(den * x for x in a) + (den * b + dot(a, num),))
+
+        return Polyhedron(
+            self.ambient, self.dim_ambient, False,
+            vertices=tuple(sorted(tuple(x + Fraction(y, den) for x, y in zip(vert, num))
+                                  for vert in self.vertices)),
+            rays=self.rays,
+            lineality=self.lineality,
+            ineqs=tuple(sorted(shift(a) for a in self.ineqs)),
+            eqs=tuple(shift(e) for e in self.eqs),
+        )
 
     def relative_interior_point(self):
         if self.empty:

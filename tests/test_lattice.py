@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ppfan._vecops import reduce_mod_rows, rref_primitive, scale_to_int, sign_canonical
+from ppfan._vecops import reduce_mod_rows, rref, rref_primitive, scale_to_int, sign_canonical
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
@@ -211,11 +211,77 @@ def test_rational_map_json_roundtrip_strings():
     assert js["entries"] == [["1/2", "-1/3"]]
 
 
+def test_lattice_map_rejects_non_integers():
+    with pytest.raises(ValueError, match=r"matrix entry 0\.5 .* is not an integer"):
+        LatticeMap(((0.5,),), "a", "b")
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\) .* is not an integer"):
+        LatticeMap(((1, Fraction(1, 2)),), "a", "b")
+    with pytest.raises(ValueError, match="True"):
+        LatticeMap(((True,),), "a", "b")
+    m = LatticeMap(((Fraction(4, 2), -3),), "a", "b")
+    assert m.entries == ((2, -3),) and all(type(x) is int for x in m.entries[0])
+
+
+def test_rational_map_rejects_floats():
+    with pytest.raises(ValueError, match=r"matrix entry 0\.1 .* is not an int or a Fraction"):
+        RationalMap(((0.1,),), "a", "b")
+    with pytest.raises(ValueError, match="None"):
+        RationalMap(((1, None),), "a", "b")
+    t = RationalMap(((1, Fraction(1, 3)),), "a", "b")
+    assert t.entries == ((1, Fraction(1, 3)),)
+    assert all(type(x) is Fraction for x in t.entries[0])
+
+
+def test_matrix_rank_rejects_floats():
+    # 0.1 and 0.2 are not exactly proportional to 1 and 2 in binary
+    with pytest.raises(ValueError, match=r"0\.1 in \(0\.1, 0\.2\) is not an int or a Fraction"):
+        matrix_rank(((0.1, 0.2), (1, 2)))
+
+
+def test_rational_solve_rejects_floats():
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        rational_solve(((1, 2),), (0.5,))
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        rational_solve(((1.0, 2),), (1,))
+
+
+def test_rational_left_inverse_rejects_floats():
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        rational_left_inverse(((2.0,), (1,)))
+
+
+def test_rref_primitive_rejects_floats():
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        rref_primitive(((1, 0.5),), 2)
+
+
 # --- one shared elimination --------------------------------------------------
 #
 # `rref_primitive`, `matrix_rank`, `rational_solve` and `rational_left_inverse`
 # are wrappers over `_vecops.rref`.  The references below are the four
-# Gaussian eliminations they replaced, kept verbatim.
+# Gaussian eliminations they replaced, kept verbatim, and `ref_rref` is the
+# `Fraction` Gauss–Jordan body of `rref` before it became fraction-free.
+
+
+def ref_rref(rows, width):
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        top = work[r] = [x / pv for x in work[r]]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != r and f != 0:
+                work[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(col)
+    return work, pivots
 
 
 def ref_rref_primitive(rows, width):
@@ -362,6 +428,38 @@ def test_eliminations_match_references(mat, data):
     else:
         rhs = data.draw(st.tuples(*[ENTRIES] * len(rows)))
     assert outcome(rational_solve, rows, rhs) == outcome(ref_rational_solve, rows, rhs)
+
+
+@st.composite
+def augmented(draw):
+    """(width, rows) with 0 to 3 extra columns carried past `width`."""
+    n, rows = draw(matrices())
+    extra = draw(st.integers(0, 3))
+    return n, tuple(row + draw(st.tuples(*[ENTRIES] * extra)) for row in rows)
+
+
+def is_positive_multiple(row, ref):
+    """row = c*ref for some rational c > 0 (both zero counts too)."""
+    p = next((i for i, x in enumerate(ref) if x != 0), None)
+    if p is None:
+        return not any(row)
+    c = Fraction(row[p]) / ref[p]
+    return c > 0 and all(x == c * y for x, y in zip(row, ref))
+
+
+@HYP
+@given(augmented())
+def test_rref_rows_are_positive_multiples_of_reference(mat):
+    n, rows = mat
+    work, pivots = rref(rows, n)
+    ref_work, ref_pivots = ref_rref(rows, n)
+    assert pivots == ref_pivots
+    assert len(work) == len(ref_work)
+    assert all(type(x) is int for row in work for x in row)
+    for row, ref in zip(work, ref_work):
+        assert is_positive_multiple(row, ref)
+    for row, col in zip(work, pivots):
+        assert row[col] > 0
 
 
 @pytest.mark.parametrize("rows", [

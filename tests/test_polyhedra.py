@@ -214,6 +214,12 @@ def test_translate_rejects_wrong_length():
     assert tri.translate((1, 1)) == poly_V([(1, 1), (2, 1), (1, 2)])
 
 
+def test_translate_rejects_floats():
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"0\.5 in \(0\.5, 1, 1\) is not an int or a Fraction"):
+        tri.translate((0.5, 1))
+
+
 def test_face_compact_for_interior_dual_forms():
     rng = random.Random(61)
     for _ in range(60):
@@ -676,6 +682,27 @@ def polyhedron_pairs(draw):
     else:
         p = q
     return p, q
+
+
+@HYP
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(polyhedra(d), st.tuples(*[_rats] * d))))
+def test_translate_matches_rebuild(case):
+    # shifting the canonical data equals a double description run on shifted generators
+    p, v = case
+    calls = []
+    real_process = dd.process
+    dd.process = lambda *args: calls.append(args) or real_process(*args)
+    try:
+        got = p.translate(v)
+    finally:
+        dd.process = real_process
+    assert calls == []
+    if p.empty:
+        assert got is p
+        return
+    want = poly_V([tuple(a + b for a, b in zip(w, v)) for w in p.vertices],
+                  p.rays, p.lineality, d=p.dim_ambient)
+    assert repr(got) == repr(want)
 
 
 @HYP
