@@ -19,7 +19,7 @@ from .polyhedra import (
     Polyhedron,
     Subdivision,
     _check_same_ambient,
-    _tiles,
+    face_minimizing,
     intersect,
     min_value,
 )
@@ -78,12 +78,14 @@ class PPDivisor:
         nonempty = [p for _, p in terms if not p.empty]
         if not nonempty:
             raise ValueError("need at least one nonempty coefficient")
+        # a canonical cone is fixed by its rays and lineality
+        tail = (self.tail.ambient, self.tail.dim_ambient, self.tail.rays, self.tail.lineality)
         for l, p in terms:
             if p.empty:
                 continue
             if p.ambient != self.ambient:
                 raise ValueError(f"coefficient at {l} lives in {p.ambient!r}, not {self.ambient!r}")
-            if p.tail_cone() != self.tail:
+            if (p.ambient, p.dim_ambient, p.rays, p.lineality) != tail:
                 raise ValueError(f"coefficient at {l} has a different tail cone")
 
     def labels(self):
@@ -229,8 +231,9 @@ class Report:
 def check_subdivision_structure(fansy: FansyDivisor) -> Report:
     """Subdivision axioms per label, plus the tails forming a fan.
 
-    Distinct tails that pass the facet-matching certificate (`_tiles`) form
-    a complete fan; otherwise every pair is intersected.
+    The distinct tails form a fan when `Fan.is_complete` certifies it;
+    otherwise `Fan.bad_pairs` names every pair that does not meet in a
+    common face.
     """
     findings = []
     for label in fansy.labels:
@@ -241,12 +244,10 @@ def check_subdivision_structure(fansy: FansyDivisor) -> Report:
     for k, d in fansy.cells:
         if not any(d.tail == c for _, c in tails):
             tails.append((k, d.tail))
-    if not _tiles([c for _, c in tails], fansy.dim_ambient):
-        for i in range(len(tails)):
-            for j in range(i + 1, len(tails)):
-                if not tails[i][1].common_face_with(tails[j][1]):
-                    findings.append(f"tail cones of cells {tails[i][0]!r} and "
-                                    f"{tails[j][0]!r} do not meet in a common face")
+    fan = Fan(fansy.ambient, fansy.dim_ambient, tuple(tails))
+    if not fan.is_complete():
+        findings.extend(f"tail cones of cells {k!r} and {l!r} do not meet in a common face"
+                        for k, l in fan.bad_pairs())
     return Report(not findings, tuple(findings))
 
 
@@ -282,16 +283,6 @@ def intersect_or_empty(p, q):
     return intersect(p, q)
 
 
-def _level_set(p, u, c):
-    if p.empty:
-        return p
-    return Polyhedron.from_halfspaces(
-        p.ambient, p.dim_ambient,
-        [(r[:-1], r[-1]) for r in p.ineqs],
-        [(r[:-1], r[-1]) for r in p.eqs] + [(u, c)],
-    )
-
-
 def _pair_ok(dmu, dnu, u):
     for l, pmu in dmu.terms:
         pnu = dnu.coefficient(l)
@@ -311,7 +302,7 @@ def _pair_ok(dmu, dnu, u):
         mn = min_value(pnu, u)
         if mx is None or mn is None or mx > mn:
             return False
-        if mx == mn and _level_set(pmu, u, mx) != _level_set(pnu, u, mn):
+        if mx == mn and face_minimizing(pmu, neg(u)) != face_minimizing(pnu, u):
             return False
     return True
 

@@ -430,13 +430,7 @@ def fansy_via_recipe(n, max_n=9, verify=True) -> FansyDivisor:
     """
     if n > max_n:
         raise ValueError(f"n={n} beyond the guard ({max_n}); raise max_n to force")
-    setup = gr_setup(n)
-    parts = partitions(n)
-    rays = [partition_ray(n, B)[0] for B in parts]
-    labels = [B.label() for B in parts]
-    recipe = pp_from_weights(setup.ws, rays=rays, retraction=setup.retraction,
-                             emb=setup.emb, labels=labels)
-    return projectivize(setup.ws, recipe, cell_labels=pairs(n),
+    return projectivize(gr_setup(n).ws, recipe_divisor(n), cell_labels=pairs(n),
                         target=f"Lstar({n})", verify=verify)
 
 

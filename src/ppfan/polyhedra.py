@@ -31,11 +31,9 @@ every facet, keyed by its row up to sign and those generators, is shared by
 exactly one cell on its other side or lies on the support's boundary, and
 one interior point lies in one cell only.  That proves the cells subdivide
 the support face to face, in time linear in the number of facets; the same
-certificate shows that distinct tail cones form a complete fan.  Only when
-it fails are the axioms checked pair by pair, for the findings: a pair of
-full-dimensional cells is first decided by descending along separating
-facet rows (`_meets_in_common_face`); only a pair that descent cannot
-decide, or one with a lower-dimensional cell, is intersected by double
+certificate shows that distinct cones form a complete fan
+(`Fan.is_complete`).  Only when it fails are the axioms checked pair by
+pair, for the findings: each pair of cells is intersected by double
 description, which also names the overlap witness.  Every Gr(2,n)
 subdivision and tail fan (n = 4 to 9) passes the certificate.
 """
@@ -44,13 +42,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 
 from ._vecops import (dot, frac_str, is_zero, neg, primitive, reduce_mod_rows, scale_to_int,
                       sign_canonical)
 from .dd import dd_pair, from_incidence, tight_masks
-from .lattice import hnf_rows, matrix_rank, rational_left_inverse
+from .lattice import matrix_rank, rational_left_inverse
 
 
 class LatticeMismatch(ValueError):
@@ -217,8 +215,9 @@ class Polyhedron:
     """Rational polyhedron with canonical dual description.
 
     `ineqs` rows are (a_1,...,a_d, b) meaning a.x >= b, scaled to primitive
-    integers; `eqs` rows likewise with a.x == b, in HNF.  The empty
-    polyhedron has `empty=True` and no other data.
+    integers; `eqs` rows likewise with a.x == b, the primitive RREF rows of
+    their span (so also their own HNF).  The empty polyhedron has
+    `empty=True` and no other data.
 
     Containment and face tests read integer homogeneous forms of the same
     data (`_hom_gens`, `_hom_rows`) and faces read their incidence
@@ -398,10 +397,6 @@ class Polyhedron:
         on_face = [g for g in verts + rays if all(dot(h, g) == 0 for h in tight)]
         return _gens_in(self, on_face, lin)
 
-    def common_face_with(self, other):
-        meet = intersect(self, other)
-        return meet.is_face_of(self) and meet.is_face_of(other)
-
     def to_json(self):
         if self.empty:
             return {"ambient": self.ambient, "empty": True}
@@ -445,7 +440,7 @@ def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
         rays=tuple(sorted(tails)),
         lineality=tuple(l[:-1] for l in lin),
         ineqs=ineqs,
-        eqs=hnf_rows(eqs, dim_ambient + 1) if eqs else (),
+        eqs=eqs,
     )
 
 
@@ -605,37 +600,17 @@ class Fan:
             out.update(c.rays)
         return tuple(sorted(out))
 
+    def bad_pairs(self):
+        """The label pairs, in order, whose cones do not meet in a common face of both."""
+        return [(k, l) for (k, c), (l, d) in combinations(self.maximal, 2)
+                if not c.common_face_with(d)]
+
     def is_fan(self):
-        cs = self.cones()
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if not cs[i].common_face_with(cs[j]):
-                    return False
-        return True
+        return not self.bad_pairs()
 
     def is_complete(self):
-        """Pure full-dimensional and every facet shared by exactly two cones.
-
-        For a genuine fan this characterises completeness.
-        """
-        cs = self.cones()
-        if not cs:
-            return False
-        if self.dim_ambient == 0:
-            return True
-        for c in cs:
-            if c.dim != self.dim_ambient:
-                return False
-        walls = {}
-        for idx, c in enumerate(cs):
-            for f in c.facets():
-                key = (f.rays, f.lineality)
-                walls.setdefault(key, []).append(idx)
-        return all(len(set(v)) == 2 for v in walls.values())
-
-    def cone_containing(self, x):
-        hits = [l for l, c in self.maximal if c.contains(x)]
-        return hits
+        """The cones form a complete fan, by the facet-matching certificate `_tiles`."""
+        return _tiles(self.cones(), self.dim_ambient)
 
     def to_json(self):
         return {
@@ -684,12 +659,9 @@ class Subdivision:
         with exactly one cell on its other side or lies on the support's
         boundary, and one interior point is covered once, the cells
         subdivide the support and the answer is (True, []).  Otherwise the
-        axioms are checked one by one, and the findings name what broke.
-        A pair of cells of full dimension is first tried by
-        `_meets_in_common_face`, on the generators and rows the cells hold.
-        Only a pair it cannot decide, or a pair with a lower-dimensional
-        cell, is intersected by double description; that path also writes
-        the witness of an overlap.  Facets are read off each cell's
+        axioms are checked one by one, and the findings name what broke:
+        each pair of cells is intersected by double description, which also
+        gives the witness of an overlap.  Facets are read off each cell's
         generators (`_coverage_findings`), without double description.
         """
         findings = []
@@ -710,8 +682,6 @@ class Subdivision:
             for j, pj in cells:
                 if j <= i:
                     continue
-                if pi_.dim == pj.dim == dim and _meets_in_common_face(pi_, pj):
-                    continue
                 meet = intersect(pi_, pj)
                 if not meet.empty and meet.dim == dim:
                     findings.append(
@@ -727,23 +697,16 @@ class Subdivision:
         # another cell or lie in the boundary of the declared support.  The
         # rows of a cell are its facets, so only cells of dimension dim have
         # facets of dimension dim - 1; the facet on row h is generated by the
-        # cell's vertices and rays on h = 0 and its lineality.  A neighbour
-        # across the facet carries the row -h, so the cells with that row are
-        # tried first; the findings do not depend on the order.
+        # cell's vertices and rays on h = 0 and its lineality.
         findings = []
         boundary = () if self.support is None else self.support._hom_rows[0]
-        by_row = {}
-        for _, q in cells:
-            for h in q._hom_rows[0]:
-                by_row.setdefault(h, []).append(q)
         for i, p in cells:
             if p.dim != dim:
                 continue
             verts, rays, lin = p._hom_gens
             for row, h in zip(p.ineqs, p._hom_rows[0]):
                 on = [g for g in verts + rays if dot(h, g) == 0]
-                tries = chain(by_row.get(neg(h), ()), (q for _, q in cells))
-                if any(q is not p and _gens_in(q, on, lin) for q in tries):
+                if any(q is not p and _gens_in(q, on, lin) for _, q in cells):
                     continue
                 if any(all(dot(b, g) == 0 for g in on + list(lin)) for b in boundary):
                     continue
@@ -839,40 +802,6 @@ def _tiles(cells, dim, support=None):
             return False
     x = cells[0].relative_interior_point()
     return not any(c.contains(x) for c in cells[1:])
-
-
-def _meets_in_common_face(p, q):
-    """True when p ∩ q is empty or a face of both; False when undecided.
-
-    Decided on the cached generators and rows, without double description.
-    A row of p with q's generators on or below its hyperplane (or a row of q
-    with p's) holds with equality on p ∩ q, so both sides are cut down to
-    their generators on that hyperplane: faces of p and of q that still
-    contain the meet.  The cuts repeat until no row cuts.  With no vertex
-    left on a side the cells do not meet; when each side's remaining face
-    lies in the other cell, p ∩ q is that face of both.  At least one cut
-    is required, so when this is True, p ∩ q lies in a proper face of p or
-    of q: for cells of equal dimension it is lower-dimensional.
-    """
-    _check_same_ambient(p, q)
-    sides = [p._hom_gens[0] + p._hom_gens[1], q._hom_gens[0] + q._hom_gens[1]]
-    lines = (p._hom_gens[2], q._hom_gens[2])
-    rows = [(0, h) for h in p._hom_rows[0]] + [(1, h) for h in q._hom_rows[0]]
-    cut = False
-    more = True
-    while more:
-        more = False
-        for own, h in rows:
-            other = 1 - own
-            if any(dot(h, g) > 0 for g in sides[other]) or any(dot(h, l) for l in lines[other]):
-                continue
-            on = [[g for g in s if dot(h, g) == 0] for s in sides]
-            if len(on[0]) + len(on[1]) < len(sides[0]) + len(sides[1]):
-                sides, cut, more = on, True, True
-                # homogeneous vertices have a positive last coordinate
-                if not all(any(g[-1] for g in s) for s in sides):
-                    return True
-    return cut and _gens_in(q, sides[0], lines[0]) and _gens_in(p, sides[1], lines[1])
 
 
 def _frac_point(p):

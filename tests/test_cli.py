@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -188,3 +189,18 @@ def test_verify_small_n_exit_2(capsys, n):
     code, out, err = run(capsys, "verify", "--n", n)
     assert code == 2 and out == ""
     assert err == "error: need n >= 4\n"
+
+
+# sha256 of stdout; a change to the JSON a command prints, down to one byte,
+# must update its digest on purpose
+@pytest.mark.parametrize("argv, digest", [
+    (["fansy", "--n", "5", "--method", "both"],
+     "b22a5d1344061b536c8fe133b6ec2aa41f8c09a252d088292c6c68871a75d677"),
+    (["verify", "--n", "5"], "58b5b4218b2dbf5198652f751a464f3c22bf838a91d3992d6a3388b47351a6a8"),
+    (["projectivize", "--weights", None],
+     "79098e862c062ed80119a2dcc8aa883e9f6fc6e268861dc6521d92b92a023af3"),
+], ids=["fansy-5-both", "verify-5", "projectivize"])
+def test_stdout_golden_digest(capsys, weights_file, argv, digest):
+    code, out, _ = run(capsys, *[weights_file if a is None else a for a in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ppfan._vecops import neg
 from ppfan.divisors import (
     FansyDivisor,
     Label,
@@ -14,7 +17,7 @@ from ppfan.divisors import (
     intersect_pp,
     translate_coefficient,
 )
-from ppfan.polyhedra import Cone, Polyhedron
+from ppfan.polyhedra import Cone, Polyhedron, face_minimizing, min_value
 
 
 def tri_divisor():
@@ -43,6 +46,53 @@ def test_ppdivisor_invariants():
         PPDivisor("Nt", 2, sigma, ((Label.named("a"), good), (Label.named("a"), good)))
     with pytest.raises(ValueError):
         PPDivisor("Nt", 2, sigma, ((Label.named("a"), Polyhedron.empty_in("Nt", 2)),))
+
+
+@pytest.mark.parametrize("ambient, rays, lin", [
+    ("Nt", [(0, 1)], []),
+    ("Nt", [(1, 0), (0, 1)], []),
+    ("Nt", [], []),
+    ("Nt", [], [(1, 0)]),
+    ("Mt", [(1, 0)], []),
+], ids=["other-ray", "wider", "bounded", "line", "other-lattice"])
+def test_ppdivisor_rejects_another_tail(ambient, rays, lin):
+    sigma = Cone.from_rays(ambient, 2, [(1, 0)])
+    coeff = Polyhedron.from_generators("Nt", 2, [(0, 0)], rays, lin)
+    with pytest.raises(ValueError, match="has a different tail cone"):
+        PPDivisor("Nt", 2, sigma, ((Label.named("a"), coeff),))
+
+
+def ref_level_set(p, u, c):
+    """p ∩ {u.x = c}, by double description on p's rows and the equation."""
+    if p.empty:
+        return p
+    return Polyhedron.from_halfspaces(
+        p.ambient, p.dim_ambient,
+        [(r[:-1], r[-1]) for r in p.ineqs],
+        [(r[:-1], r[-1]) for r in p.eqs] + [(u, c)],
+    )
+
+
+@st.composite
+def polyhedra_and_forms(draw):
+    d = draw(st.integers(1, 3))
+    vecs = st.tuples(*[st.integers(-2, 2)] * d)
+    verts = draw(st.lists(vecs, min_size=1, max_size=4))
+    rays = [r for r in draw(st.lists(vecs, max_size=2)) if any(r)]
+    lin = [l for l in draw(st.lists(vecs, max_size=1)) if any(l)]
+    return Polyhedron.from_generators("Q", d, verts, rays, lin), draw(vecs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polyhedra_and_forms())
+def test_extreme_faces_are_level_sets(case):
+    # the separation check compares the faces maximising and minimising u,
+    # which are the level sets at the extreme values
+    p, u = case
+    for form in (u, neg(u)):
+        m = min_value(p, form)
+        if m is not None:
+            assert face_minimizing(p, form) == ref_level_set(p, form, m)
 
 
 def test_evaluate_zero_form():

@@ -20,7 +20,6 @@ from ppfan.polyhedra import (
     RefinementGuardExceeded,
     Subdivision,
     _cone_leq,
-    _meets_in_common_face,
     _subset_of,
     _tiles,
     common_refinement_fan,
@@ -706,6 +705,19 @@ def test_translate_matches_rebuild(case):
 
 
 @HYP
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(polyhedra(d), st.tuples(*[_rats] * d),
+                                                     st.tuples(*[_ints] * d))))
+def test_equations_are_their_own_hnf(case):
+    # stored equations are the primitive RREF rows of their span, which
+    # hnf_rows leaves as they are; translation and faces keep them so
+    p, v, u = case
+    assume(not p.empty)
+    for q in (p, p.translate(v), face_minimizing(p, u)):
+        if q is not None:
+            assert hnf_rows(q.eqs, q.dim_ambient + 1) == q.eqs
+
+
+@HYP
 @given(polyhedron_pairs())
 def test_is_face_of_matches_rebuild(pq):
     p, q = pq
@@ -883,35 +895,26 @@ def test_check_matches_intersect_every_pair(sub):
     assert sub.check() == ref_check(sub)
 
 
-@settings(HYP, max_examples=200)
-@given(st.one_of(polyhedron_pairs(),
-                 subdivisions().flatmap(lambda sub: st.tuples(*[st.sampled_from(
-                     sub.polyhedra() or [Polyhedron.empty_in("Q", sub.dim_ambient)])] * 2))))
-def test_meets_in_common_face_is_sound(pq):
-    p, q = pq
-    if p.empty or q.empty or not _meets_in_common_face(p, q):
-        return
-    meet = intersect(p, q)
-    assert meet.empty or (meet.is_face_of(p) and meet.is_face_of(q)
-                          and meet.dim < max(p.dim, q.dim))
-    assert _meets_in_common_face(q, p)
+_SQUARE = poly_V([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-def test_meets_in_common_face_decides_neighbours():
-    square = poly_V([(0, 0), (1, 0), (0, 1), (1, 1)])
-    right = square.translate((1, 0))
-    corner = square.translate((1, 1))
-    far = square.translate((3, 0))
-    tri = poly_V([(0, 0), (1, 0), (0, 1)])
-    assert _meets_in_common_face(square, right)   # a shared edge
-    assert _meets_in_common_face(square, corner)  # a shared vertex
-    assert _meets_in_common_face(square, far)     # apart
-    assert not _meets_in_common_face(square, square)
-    assert not _meets_in_common_face(square, tri)  # tri is a part, not a face
+@pytest.mark.parametrize("other, meet", [
+    (_SQUARE.translate((1, 0)), None),
+    (_SQUARE.translate((1, 1)), None),
+    (_SQUARE.translate((3, 0)), None),
+    (_SQUARE, None),  # kept once among the maximal cells
+    (poly_V([(0, 0), (1, 0), (0, 1)]), "overlap in interiors"),  # a part, not a face
     # x = 1 separates them, but the meet is half of an edge: a face of neither
-    assert not _meets_in_common_face(square, square.translate((1, F(1, 2))))
-    half = poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]).translate((F(1, 2), 0))
-    assert not _meets_in_common_face(square, half)  # they overlap
+    (_SQUARE.translate((1, F(1, 2))), "do not meet in a common face"),
+    (poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]).translate((F(1, 2), 0)), "overlap in interiors"),
+], ids=["shared-edge", "shared-vertex", "apart", "same-cell", "triangle-inside",
+        "half-edge-shift", "overlap"])
+def test_check_decides_two_cells(other, meet):
+    sub = Subdivision("Q", 2, (("square", _SQUARE), ("other", other)))
+    ok, findings = sub.check()
+    assert (ok, findings) == ref_check(sub)
+    pair = [meet in f for f in findings if f.startswith("cells 0 and 1")]
+    assert pair == ([] if meet is None else [True])
 
 
 @st.composite
@@ -1063,24 +1066,18 @@ def test_certificate_rejects_cell_leaving_support():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_structure_check_runs_no_kernel_and_no_pair_descent(monkeypatch, n):
-    import ppfan.polyhedra as polyhedra
     from ppfan.divisors import check_subdivision_structure
     from ppfan.grassmann import fansy_closed_form
 
     fansy = fansy_closed_form(n)
     calls = []
-    real_process, real_meets = dd.process, polyhedra._meets_in_common_face
+    real_process = dd.process
 
     def counting_process(*args, **kwargs):
         calls.append("process")
         return real_process(*args, **kwargs)
 
-    def counting_meets(*args, **kwargs):
-        calls.append("meets")
-        return real_meets(*args, **kwargs)
-
     monkeypatch.setattr(dd, "process", counting_process)
-    monkeypatch.setattr(polyhedra, "_meets_in_common_face", counting_meets)
     assert check_subdivision_structure(fansy).passed
     assert calls == []
 
