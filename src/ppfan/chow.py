@@ -20,9 +20,11 @@ from .lattice import (
     LatticeMap,
     RationalMap,
     check_retraction,
+    identity_matrix,
     integral_section,
     kernel_basis,
     mat_mul,
+    mat_vec,
     quotient_projection,
     rational_left_inverse,
     rational_solve,
@@ -57,11 +59,6 @@ class WeightSetup:
     degree_element: object   # coords in the dstar domain, or None
     saturated: bool
 
-    @property
-    def names(self):
-        return {"exponents": self.deg.domain, "weights": self.deg.codomain,
-                "dual": self.dstar.domain, "chow": self.pi.codomain}
-
 
 def build_setup(deg: LatticeMap, section=None) -> WeightSetup:
     """Derive pi, the dual embedding and a section from the weight matrix."""
@@ -81,10 +78,7 @@ def build_setup(deg: LatticeMap, section=None) -> WeightSetup:
         sec = integral_section(pi)
     else:
         sec = section if hasattr(section, "entries") else RationalMap(section, pi.codomain, pi.domain)
-        prod = mat_mul(pi.entries, sec.entries)
-        n = pi.rows
-        if prod != tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)) \
-                and prod != tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)):
+        if mat_mul(pi.entries, sec.entries) != identity_matrix(pi.rows):
             raise ValueError("section does not split pi")
     e = degree_element_for(dstar)
     return WeightSetup(deg, pi, dstar, sec, e, saturated)
@@ -92,19 +86,19 @@ def build_setup(deg: LatticeMap, section=None) -> WeightSetup:
 
 def degree_element_for(emb) -> object:
     """Lattice point of the dual with all pairings against the weights equal 1."""
-    ones = tuple(1 for _ in range(emb.rows))
-    sol = rational_solve(emb.entries, ones)
-    if sol is None:
-        return None
-    if mat_vec_frac(emb.entries, sol) != tuple(Fraction(1) for _ in ones):
-        return None
-    if any(x.denominator != 1 for x in sol):
+    sol = _degree_solution(emb)
+    if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
 
 
-def mat_vec_frac(entries, v):
-    return tuple(sum(Fraction(row[j]) * v[j] for j in range(len(v))) for row in entries)
+def _degree_solution(emb):
+    """Rational coordinates pairing to 1 with every row of `emb`, checked, or None."""
+    ones = tuple(1 for _ in range(emb.rows))
+    sol = rational_solve(emb.entries, ones)
+    if sol is None or mat_vec(emb.entries, sol) != ones:
+        return None
+    return sol
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,7 +157,7 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
         raise ValueError("no rays: the recipe degenerates (trivial quotient)")
     if retraction is None:
         emb = setup.dstar
-        retr = RationalMap(rational_left_inverse(emb.entries), emb.codomain, emb.domain)
+        retr = _default_retraction(setup)
     else:
         retr = retraction
         if retr.domain != pi.domain:
@@ -174,10 +168,9 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
             raise ValueError("retraction does not split the dual embedding")
         if any(any(x != 0 for x in row) for row in mat_mul(pi.entries, emb.entries)):
             raise ValueError("dual embedding does not land in the kernel of pi")
-    ambient = retr.codomain
     if labels is None:
         labels = [Label.ray(c, pi.codomain) for c in rays]
-    tail = _recipe_tail(setup, retr, ambient)
+    tail = _recipe_tail(setup, retr)
     terms = []
     aligned = []
     for label, c in zip(labels, rays):
@@ -190,19 +183,25 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
         coeff = map_image(fib, retr)
         terms.append((label, coeff))
         aligned.append((label, c))
-    div = PPDivisor(ambient, retr.rows, tail, tuple(terms))
+    div = PPDivisor(retr.codomain, retr.rows, tail, tuple(terms))
     order = {l: i for i, (l, _) in enumerate(div.terms)}
     aligned.sort(key=lambda t: order[t[0]])
     return RecipeDivisor(div, tuple(aligned), emb)
 
 
-def _recipe_tail(setup, retr, ambient) -> Cone:
+def _default_retraction(setup) -> RationalMap:
+    """The rational left inverse of the dual embedding, onto its domain."""
+    dstar = setup.dstar
+    return RationalMap(rational_left_inverse(dstar.entries), dstar.codomain, dstar.domain)
+
+
+def _recipe_tail(setup, retr) -> Cone:
     d = setup.pi.cols
     unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     ker_orthant = Cone.from_ineqs(setup.pi.domain, d, unit, setup.pi.entries)
-    rays = [scale_to_int(mat_vec_frac(retr.entries, r)) for r in ker_orthant.rays]
-    lin = [scale_to_int(mat_vec_frac(retr.entries, l)) for l in ker_orthant.lineality]
-    return Cone.from_rays(ambient, retr.rows, rays, lin)
+    rays = [scale_to_int(mat_vec(retr.entries, r)) for r in ker_orthant.rays]
+    lin = [scale_to_int(mat_vec(retr.entries, l)) for l in ker_orthant.lineality]
+    return Cone.from_rays(retr.codomain, retr.rows, rays, lin)
 
 
 def boundary_face(setup: WeightSetup, recipe: RecipeDivisor, label, v) -> Polyhedron:
@@ -235,9 +234,8 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     ambient = recipe.divisor.ambient
     # direction of the degree element in the recipe's coefficient coordinates
     # (it may have fractional coordinates there when the dual is an overlattice)
-    ones = tuple(1 for _ in range(emb.rows))
-    e = rational_solve(emb.entries, ones)
-    if e is None or mat_vec_frac(emb.entries, e) != tuple(Fraction(1) for _ in ones):
+    e = _degree_solution(emb)
+    if e is None:
         raise ValueError("degree element is not visible in the chosen coordinates")
     e_dir = scale_to_int(e)
     col = LatticeMap(tuple((x,) for x in e_dir), "degree-axis", ambient)

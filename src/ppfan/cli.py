@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .chow import build_setup, pp_from_weights, projectivize
+from .chow import _default_retraction, _recipe_tail, build_setup, pp_from_weights, projectivize
 from .divisors import fansy_equal
 from .grassmann import fansy_closed_form, fansy_via_recipe, tail_fan
 from .lattice import LatticeMap
@@ -72,15 +72,11 @@ def cmd_tailfan(args):
 
 def cmd_setup(args):
     setup = build_setup(load_weights(args.weights))
-    from .chow import _recipe_tail
-    from .lattice import RationalMap, rational_left_inverse
-    retr = RationalMap(rational_left_inverse(setup.dstar.entries),
-                       setup.dstar.codomain, setup.dstar.domain)
     emit({
         "pi": setup.pi.to_json(),
         "section": setup.section.to_json(),
         "dual_embedding": setup.dstar.to_json(),
-        "tail_cone": _recipe_tail(setup, retr, setup.dstar.domain).to_json(),
+        "tail_cone": _recipe_tail(setup, _default_retraction(setup)).to_json(),
         "degree_element": list(setup.degree_element) if setup.degree_element else None,
         "image_saturated": setup.saturated,
     })

@@ -16,7 +16,6 @@ from ._vecops import dot, frac_str, neg, primitive
 from .polyhedra import (
     Cone,
     Fan,
-    Polyhedron,
     Subdivision,
     _check_same_ambient,
     face_minimizing,
@@ -96,9 +95,6 @@ class PPDivisor:
             if l == label:
                 return p
         raise KeyError(label)
-
-    def empty_locus(self):
-        return tuple(l for l, p in self.terms if p.empty)
 
     def to_json(self):
         return {
@@ -257,54 +253,56 @@ def check_fansy_condition1(fansy: FansyDivisor) -> Report:
     Candidates are 0 and the primitive facet normals of the coefficients.
     A returned witness is verified exactly; not finding one is recorded as
     inconclusive, never as a refutation.  The locus condition on the base
-    variety is reported as an assumption.
+    variety is reported as an assumption; its labels are the ones where the
+    separating form shows the two coefficients disjoint, so no intersection
+    is computed.
     """
     findings = []
-    verified = 0
     inconclusive = 0
     for a, (mu, dmu) in enumerate(fansy.cells):
         for nu, dnu in fansy.cells[a:]:
-            u = _find_separating_form(dmu, dnu)
-            assumed = [str(l) for l in dmu.labels()
-                       if intersect_or_empty(dmu.coefficient(l), dnu.coefficient(l)).empty]
-            if u is None:
+            found = _find_separating_form(dmu, dnu)
+            if found is None:
                 inconclusive += 1
                 findings.append(f"pair ({mu!r}, {nu!r}): inconclusive (no candidate form worked)")
             else:
-                verified += 1
+                u, locus = found
                 findings.append(f"pair ({mu!r}, {nu!r}): verified with form {u}; "
-                                f"assumed semiample locus {assumed}")
+                                f"assumed semiample locus {locus}")
     return Report(inconclusive == 0, tuple(findings))
 
 
-def intersect_or_empty(p, q):
-    if p.empty or q.empty:
-        return Polyhedron.empty_in(p.ambient, p.dim_ambient)
-    return intersect(p, q)
-
-
 def _pair_ok(dmu, dnu, u):
-    for l, pmu in dmu.terms:
-        pnu = dnu.coefficient(l)
-        if pmu.empty and pnu.empty:
-            continue
-        if pmu.empty:
-            mn = min_value(pnu, u)
-            if mn is None:
-                return False
-            continue  # any c < mn gives empty level sets on both sides
-        if pnu.empty:
-            mx = _max_value(pmu, u)
-            if mx is None:
-                return False
+    """None if `u` does not separate the two cells, else their disjoint labels.
+
+    Per label, `u` must be at most some c on the mu coefficient and at least
+    c on the nu one, with equal level-set faces where max u == min u.  The
+    returned list holds `str(label)` for every label whose coefficients have
+    an empty meet: either coefficient is empty, or max u on the mu side lies
+    below min u on the nu side.  At max u == min u the two level-set faces
+    were just shown equal, so the meet contains that nonempty face.  Both
+    cells carry the sorted global label set of their FansyDivisor, so the
+    terms pair up by position.
+    """
+    locus = []
+    for (l, pmu), (_, pnu) in zip(dmu.terms, dnu.terms):
+        if pmu.empty or pnu.empty:
+            # any c below min u (above max u) gives empty level sets on both sides
+            if not pnu.empty and min_value(pnu, u) is None:
+                return None
+            if not pmu.empty and _max_value(pmu, u) is None:
+                return None
+            locus.append(str(l))
             continue
         mx = _max_value(pmu, u)
         mn = min_value(pnu, u)
         if mx is None or mn is None or mx > mn:
-            return False
-        if mx == mn and face_minimizing(pmu, neg(u)) != face_minimizing(pnu, u):
-            return False
-    return True
+            return None
+        if mx < mn:
+            locus.append(str(l))
+        elif face_minimizing(pmu, neg(u)) != face_minimizing(pnu, u):
+            return None
+    return locus
 
 
 def _max_value(p, u):
@@ -337,8 +335,9 @@ def _find_separating_form(dmu, dnu):
         push(tuple(a - b for a, b in zip(dnu.tail.interior_dual_vector(),
                                          dmu.tail.interior_dual_vector())))
     for u in candidates:
-        if _pair_ok(dmu, dnu, u):
-            return u
+        locus = _pair_ok(dmu, dnu, u)
+        if locus is not None:
+            return u, locus
     return None
 
 

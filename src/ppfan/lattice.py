@@ -262,9 +262,6 @@ class LatticeMap:
     def column(self, j):
         return tuple(r[j] for r in self.entries)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def to_json(self):
         return {
             "domain": self.domain,

@@ -109,10 +109,6 @@ class Cone:
     def is_pointed(self):
         return not self.lineality
 
-    @property
-    def is_full(self):
-        return not self.eqs
-
     def contains(self, v):
         if len(v) != self.dim_ambient:
             raise ValueError(f"point {tuple(v)!r} has length {len(v)}, expected {self.dim_ambient}")

@@ -28,7 +28,7 @@ from .grassmann import (
     tail_fan,
 )
 from .lattice import check_retraction, identity_matrix, mat_mul
-from .polyhedra import Polyhedron, induced_subdivision, intersect
+from .polyhedra import Cone, Polyhedron, induced_subdivision, intersect
 
 
 def check_two_routes(n, closed):
@@ -121,7 +121,6 @@ def check_tail_fans(k, n):
     for i in range(1, n + 1):
         e = rs.ell(i)
         gens.add(e if i <= k else tuple(-x for x in e))
-    from .polyhedra import Cone
     want = Cone.from_rays(rs.ambient, rs.dim, gens)
     if chart != want:
         return False, "chart cone differs from the sign-pattern cone"

@@ -199,7 +199,11 @@ def test_verify_small_n_exit_2(capsys, n):
     (["verify", "--n", "5"], "58b5b4218b2dbf5198652f751a464f3c22bf838a91d3992d6a3388b47351a6a8"),
     (["projectivize", "--weights", None],
      "79098e862c062ed80119a2dcc8aa883e9f6fc6e268861dc6521d92b92a023af3"),
-], ids=["fansy-5-both", "verify-5", "projectivize"])
+    (["setup", "--weights", None],
+     "27b7744593a439414c77511676e49bfa65e4cf40fc304b8e095218893b664375"),
+    (["ppdivisor", "--weights", None],
+     "f2925f04a43471278d6a486a09cf83aba6485181ec78b50355cc3469892e5a56"),
+], ids=["fansy-5-both", "verify-5", "projectivize", "setup", "ppdivisor"])
 def test_stdout_golden_digest(capsys, weights_file, argv, digest):
     code, out, _ = run(capsys, *[weights_file if a is None else a for a in argv])
     assert code == 0

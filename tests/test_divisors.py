@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppfan._vecops import neg
+from ppfan.chow import build_setup, pp_from_weights, projectivize
 from ppfan.divisors import (
     FansyDivisor,
     Label,
@@ -17,7 +18,8 @@ from ppfan.divisors import (
     intersect_pp,
     translate_coefficient,
 )
-from ppfan.polyhedra import Cone, Polyhedron, face_minimizing, min_value
+from ppfan.lattice import LatticeMap
+from ppfan.polyhedra import Cone, Polyhedron, face_minimizing, intersect, min_value
 
 
 def tri_divisor():
@@ -244,6 +246,47 @@ def test_condition1_inconclusive_is_not_failure():
     rep = check_fansy_condition1(f)
     assert any("inconclusive" in s for s in rep.findings)
     assert not rep.passed  # passed means every pair got a verified witness
+
+
+def ref_semiample_locus(dmu, dnu):
+    """Labels whose two coefficients have an empty meet, by intersecting them."""
+    return [str(l) for l in dmu.labels()
+            if dmu.coefficient(l).empty or dnu.coefficient(l).empty
+            or intersect(dmu.coefficient(l), dnu.coefficient(l)).empty]
+
+
+def projectivized_line(top):
+    deg = LatticeMap((tuple(top), tuple(1 for _ in top)), "E", "M")
+    setup = build_setup(deg)
+    return projectivize(setup, pp_from_weights(setup))
+
+
+def verified_loci(fansy):
+    """(printed locus, reference locus) for every pair with a separating form."""
+    findings = iter(check_fansy_condition1(fansy).findings)
+    out = []
+    for a, (_, dmu) in enumerate(fansy.cells):
+        for _, dnu in fansy.cells[a:]:
+            finding = next(findings)
+            if "verified" in finding:
+                out.append((finding.split("assumed semiample locus ")[1],
+                            str(ref_semiample_locus(dmu, dnu))))
+    return out
+
+
+def test_semiample_locus_of_five_points_on_a_line():
+    loci = verified_loci(projectivized_line(range(5)))
+    assert len(loci) == 15
+    assert all(printed == ref for printed, ref in loci)
+    assert sum(ref != "[]" for _, ref in loci) == 13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=3, max_size=4))
+def test_semiample_locus_matches_intersection(top):
+    assume(LatticeMap((tuple(top), tuple(1 for _ in top)), "E", "M").rank() == 2)
+    for printed, ref in verified_loci(projectivized_line(top)):
+        assert printed == ref
 
 
 def test_fansy_equal_detects_differences():

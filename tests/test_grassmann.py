@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 from math import comb
 
@@ -319,6 +320,17 @@ def test_condition1_witnesses_on_closed_form():
     rep = check_fansy_condition1(fansy_closed_form(4))
     assert rep.passed  # every pair of cells gets a verified separating form
     assert all("verified" in f for f in rep.findings)
+
+
+# sha256 of the findings, one a line: the forms found and the loci printed
+@pytest.mark.parametrize("n, digest", [
+    (4, "1929b2120188022b6a6302cc05c93742800c296b398831826304be10be3b0b4c"),
+    (5, "dd25549ffc854668d2070e483c563a7299e2683d86e92aaf93adbc8289d60086"),
+])
+def test_condition1_findings_digest(n, digest):
+    from ppfan.divisors import check_fansy_condition1
+    findings = check_fansy_condition1(fansy_closed_form(n)).findings
+    assert hashlib.sha256("\n".join(findings).encode()).hexdigest() == digest
 
 
 def test_intersect_cells_sharing_the_edge():

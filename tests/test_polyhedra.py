@@ -1066,7 +1066,7 @@ def test_certificate_rejects_cell_leaving_support():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_structure_check_runs_no_kernel_and_no_pair_descent(monkeypatch, n):
-    from ppfan.divisors import check_subdivision_structure
+    from ppfan.divisors import check_fansy_condition1, check_subdivision_structure
     from ppfan.grassmann import fansy_closed_form
 
     fansy = fansy_closed_form(n)
@@ -1079,6 +1079,7 @@ def test_structure_check_runs_no_kernel_and_no_pair_descent(monkeypatch, n):
 
     monkeypatch.setattr(dd, "process", counting_process)
     assert check_subdivision_structure(fansy).passed
+    assert check_fansy_condition1(fansy).passed
     assert calls == []
 
 
