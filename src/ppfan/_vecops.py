@@ -120,14 +120,19 @@ def reduce_mod_rows(v, rows):
     For each row with pivot entry c at p (the row is negated first if c < 0),
     v becomes c*v - v[p]*row, which zeroes coordinate p; only positive
     factors scale v, so the direction of the rational reduction is kept.
+    A zero row reduces nothing.
     Integer arithmetic throughout; the result is primitive.
     """
     v = tuple(v)
     for row in rows:
-        p, c = next((i, x) for i, x in enumerate(row) if x != 0)
-        if c < 0:
-            row, c = neg(row), -c
+        for p, c in enumerate(row):
+            if c:
+                break
+        else:
+            continue
         f = v[p]
         if f:
+            if c < 0:
+                row, c = neg(row), -c
             v = tuple(c * x - f * y for x, y in zip(v, row))
     return primitive(v)

@@ -310,31 +310,39 @@ def _max_value(p, u):
     return None if m is None else -m
 
 
-def _find_separating_form(dmu, dnu):
-    # candidates: 0, facet normals of all coefficients, and the interior dual
-    # vectors of the two tail cones (which separate opposite cells)
-    zero = tuple(0 for _ in range(dmu.dim_ambient))
-    candidates = [zero]
-    seen = {zero}
+def _separating_candidates(dmu, dnu):
+    """Candidate forms, each once and primitive, in order, made as they are asked for.
 
-    def push(vec):
+    0, then both signs of the facet normals of all coefficients, and the
+    interior dual vectors of the two tail cones (which separate opposite
+    cells).
+    """
+    zero = tuple(0 for _ in range(dmu.dim_ambient))
+    seen = {zero}
+    yield zero
+
+    def normals():
+        for d in (dmu, dnu):
+            for _, p in d.terms:
+                if not p.empty:
+                    for row in p.ineqs:
+                        yield row[:-1]
+            if d.tail.ineqs:
+                yield d.tail.interior_dual_vector()
+        if dmu.tail.ineqs and dnu.tail.ineqs:
+            yield tuple(a - b for a, b in zip(dnu.tail.interior_dual_vector(),
+                                              dmu.tail.interior_dual_vector()))
+
+    for vec in normals():
         for cand in (primitive(vec), primitive(neg(vec))):
             if cand not in seen:
                 seen.add(cand)
-                candidates.append(cand)
+                yield cand
 
-    for d in (dmu, dnu):
-        for _, p in d.terms:
-            if p.empty:
-                continue
-            for row in p.ineqs:
-                push(row[:-1])
-        if d.tail.ineqs:
-            push(d.tail.interior_dual_vector())
-    if dmu.tail.ineqs and dnu.tail.ineqs:
-        push(tuple(a - b for a, b in zip(dnu.tail.interior_dual_vector(),
-                                         dmu.tail.interior_dual_vector())))
-    for u in candidates:
+
+def _find_separating_form(dmu, dnu):
+    """The first candidate form u that `_pair_ok` accepts, with its locus, or None."""
+    for u in _separating_candidates(dmu, dnu):
         locus = _pair_ok(dmu, dnu, u)
         if locus is not None:
             return u, locus

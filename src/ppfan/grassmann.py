@@ -405,6 +405,7 @@ def fansy_closed_form(n) -> FansyDivisor:
     fan = tail_fan(2, n)
     cells = []
     for K, tau in fan.maximal:
+        tail = tau.to_polyhedron()
         terms = []
         for B in parts:
             ell_part = rs.ell_sum(B.part)
@@ -412,12 +413,11 @@ def fansy_closed_form(n) -> FansyDivisor:
             low = tuple(Fraction(B.b + 1 - n, n - 2) * x for x in ell_part)
             meets_part = len(set(K) & set(B.part))
             if meets_part == 0:
-                verts = [high]
+                poly = tail.translate(high)
             elif meets_part == 2:
-                verts = [low]
+                poly = tail.translate(low)
             else:
-                verts = [high, low]
-            poly = Polyhedron.from_generators(rs.ambient, rs.dim, verts, tau.rays)
+                poly = Polyhedron.from_generators(rs.ambient, rs.dim, [high, low], tau.rays)
             terms.append((B.label(), poly))
         cells.append((K, PPDivisor(rs.ambient, rs.dim, tau, tuple(terms))))
     return FansyDivisor(rs.ambient, rs.dim, tuple(labels), tuple(cells))

@@ -21,8 +21,11 @@ rows.  Faces (`face_minimizing`), tail cones (`Polyhedron.tail_cone`) and
 facets (`Cone.facets`, the walls crossed by `common_refinement_fan`) need no
 run: they are read the same way (``ppfan.dd.from_incidence``) off the
 incidence of the object's own generators with its own rows, which is cached
-on the instance.  Polyhedra are homogenised with one extra trailing
-coordinate.
+on the instance.  Translates (`Polyhedron.translate`), a cone as a
+polyhedron (`Cone.to_polyhedron`) and images under maps injective on the
+affine hull (`linear_image`) need no run either: they carry the canonical
+data over, the last one through the map's `lattice.Homogenised` data.
+Polyhedra are homogenised with one extra trailing coordinate.
 
 `Subdivision.check` reads each facet off the cell's own generators: the
 facet on a row is generated by the cell's vertices and rays on it and the
@@ -43,12 +46,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
-from ._vecops import (dot, frac_str, is_zero, neg, primitive, reduce_mod_rows, scale_to_int,
-                      sign_canonical)
+from ._vecops import (dot, frac_str, is_zero, neg, primitive, reduce_mod_rows, rref,
+                      rref_primitive, scale_to_int, sign_canonical)
 from .dd import dd_pair, from_incidence, tight_masks
-from .lattice import matrix_rank, rational_left_inverse
+from .lattice import homogenise, mat_vec, matrix_rank, rational_left_inverse
 
 
 class LatticeMismatch(ValueError):
@@ -183,11 +185,17 @@ class Cone:
         return meet.is_face_of(self) and meet.is_face_of(other)
 
     def to_polyhedron(self):
-        return Polyhedron.from_generators(
-            self.ambient, self.dim_ambient,
-            vertices=[tuple(0 for _ in range(self.dim_ambient))],
-            rays=self.rays, lineality=self.lineality,
-        )
+        """The cone as a polyhedron with the one vertex 0, without double description.
+
+        Its homogenisation is the cone times the x0 axis, so its rays and
+        lineality are the cone's and its rows are the cone's rows with offset
+        0: the canonical data carries over as it is.
+        """
+        return Polyhedron(self.ambient, self.dim_ambient, False,
+                          vertices=((Fraction(0),) * self.dim_ambient,),
+                          rays=self.rays, lineality=self.lineality,
+                          ineqs=tuple(a + (0,) for a in self.ineqs),
+                          eqs=tuple(e + (0,) for e in self.eqs))
 
     def to_json(self):
         return {
@@ -528,39 +536,73 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     )
 
 
-def linear_image(p: Polyhedron, entries, codomain, dim_codomain) -> Polyhedron:
+def linear_image(p: Polyhedron, entries, codomain, dim_codomain, hom=None) -> Polyhedron:
     """Image of p under the (rational) matrix acting on column vectors.
 
-    The arithmetic is on integers: with q the common denominator of the
-    entries, a homogeneous vertex (N, D) of p maps to (q*entries) N / (q D),
-    and rays and lines map to primitive multiples of their images.  Every
-    row of the matrix must have width p.dim_ambient.
+    Every row of the matrix must have width p.dim_ambient.  When the map is
+    injective on p's affine hull, the image's canonical form is read off
+    p's, with no double description.  Homogenised, the map (`Homogenised`)
+    sends the span of p's homogenisation cone C isomorphically onto the span
+    of the image cone, so extreme rays, lineality and facets correspond one
+    to one: the extreme rays are the images of C's (reduced modulo the
+    image's lineality), and a facet row h of C, once it is made to vanish on
+    the kernel K by adding equations of C, is h' ∘ map for one form h' up to
+    the image's equations, and h' cuts out the image facet.  Injectivity is
+    K ∩ span C = 0, that is: the rows (e·K | e) over C's equations e have
+    rank dim K.  The same elimination makes the facet rows vanish on K.  Its
+    rows that already vanish on K, pulled back, and the forms that vanish on
+    the map's image span the image's equations.
+
+    A map that is not injective on the hull goes through one double
+    description run on the images of p's generators.  `hom` is the map's
+    `Homogenised` data when the caller keeps it (`map_image` does); it is
+    computed here otherwise.
     """
     for row in entries:
         if len(row) != p.dim_ambient:
             raise ValueError(f"matrix row {tuple(row)!r} has width {len(row)}, "
                              f"expected {p.dim_ambient}")
+    if len(entries) != dim_codomain:
+        raise ValueError(f"matrix has {len(entries)} rows, expected {dim_codomain}")
     if p.empty:
         return Polyhedron.empty_in(codomain, dim_codomain)
-    q = lcm(*(x.denominator for row in entries for x in row))
-    mat = [tuple(x.numerator * (q // x.denominator) for x in row) for row in entries]
-    verts, rays, lin = p._hom_gens
-    images = []
-    for v in verts:
-        qd = q * v[-1]
-        images.append(tuple(Fraction(dot(row, v[:-1]), qd) for row in mat))
-    rays = [primitive(tuple(dot(row, r[:-1]) for row in mat)) for r in rays]
-    lin = [primitive(tuple(dot(row, l[:-1]) for row in mat)) for l in lin]
-    return Polyhedron.from_generators(codomain, dim_codomain, images,
-                                      [r for r in rays if not is_zero(r)],
-                                      [l for l in lin if not is_zero(l)])
+    if hom is None:
+        hom = homogenise(entries, p.dim_ambient)
+    verts, rays, lin = ([mat_vec(hom.rows, g) for g in gens] for gens in p._hom_gens)
+    k = len(hom.kernel)
+
+    def on_kernel(row):
+        return tuple(dot(row, c) for c in hom.kernel) + row
+
+    work, pivots = rref([on_kernel(e) for e in p._hom_rows[1]], k)
+    if len(pivots) < k:
+        # a kernel direction along the hull: one run on the images
+        points = [tuple(Fraction(x, v[-1]) for x in v[:-1]) for v in verts]
+        rays = [primitive(r[:-1]) for r in rays]
+        lin = [primitive(l[:-1]) for l in lin]
+        return Polyhedron.from_generators(codomain, dim_codomain, points,
+                                          [r for r in rays if not is_zero(r)],
+                                          [l for l in lin if not is_zero(l)])
+    lin = rref_primitive(lin, dim_codomain + 1)
+    eqs = rref_primitive([mat_vec(hom.pullback, e[k:]) for e in work[k:]] + list(hom.cokernel),
+                         dim_codomain + 1)
+    facets = [reduce_mod_rows(mat_vec(hom.pullback, reduce_mod_rows(on_kernel(a), work[:k])[k:]),
+                              eqs)
+              for a in p._hom_rows[0]]
+    return _poly_from_cone(codomain, dim_codomain,
+                           [reduce_mod_rows(g, lin) for g in verts + rays], lin, facets, eqs)
 
 
 def map_image(p: Polyhedron, f) -> Polyhedron:
-    """linear_image with domain/codomain tags taken from a LatticeMap/RationalMap."""
+    """linear_image with domain/codomain tags taken from a LatticeMap/RationalMap.
+
+    The map's `Homogenised` data is computed once and kept on the map.
+    """
     if f.domain != p.ambient:
         raise LatticeMismatch(f"map domain {f.domain!r} does not match {p.ambient!r}")
-    return linear_image(p, f.entries, f.codomain, f.rows)
+    if f.cols != p.dim_ambient:
+        raise ValueError(f"map of width {f.cols}, expected {p.dim_ambient}")
+    return linear_image(p, f.entries, f.codomain, f.rows, f.homogenised)
 
 
 def fiber_polyhedron(pi, c) -> Polyhedron:

@@ -288,6 +288,30 @@ def test_two_routes_agree(n):
     assert all(k == v for k, v in matching.items())
 
 
+def test_routes_run_double_description_only_where_needed(monkeypatch):
+    # closed form: one run per tail cone (10) and per segment coefficient (60);
+    # one-vertex coefficients are translates of the tail.  Recipe: one run
+    # per fiber (10) and two for the tail; every image is read off canonical
+    # data.  The fiber cache is cleared so that the count is the cold one.
+    import ppfan.dd as dd
+    from ppfan.chow import positive_fiber
+
+    calls = []
+    real_process = dd.process
+
+    def counting(*args):
+        calls.append(args)
+        return real_process(*args)
+
+    monkeypatch.setattr(dd, "process", counting)
+    fansy_closed_form(5)
+    assert len(calls) == 70
+    calls.clear()
+    positive_fiber.cache_clear()
+    fansy_via_recipe(5, verify=False)
+    assert len(calls) == 12
+
+
 def test_n5_balanced_edge():
     f = fansy_closed_form(5)
     rs = RootSystemA(5)

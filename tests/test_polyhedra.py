@@ -1089,6 +1089,8 @@ def test_linear_image_rejects_wide_matrix():
         linear_image(tri, ((1, 0, 0), (0, 1, 0)), "R", 2)
     with pytest.raises(ValueError, match="width 1"):
         linear_image(tri, ((1,), (0, 1)), "R", 2)
+    with pytest.raises(ValueError, match="2 rows, expected 3"):
+        linear_image(tri, ((1, 0), (0, 1)), "R", 3)
 
 
 def test_rational_map_rejects_ragged_matrix():
@@ -1220,6 +1222,94 @@ def test_linear_image_matches_fraction_version(d, data):
     else:
         f = RationalMap(data.draw(_vectors(_rats, d, min_size=m, max_size=m)), "Q", "B", d)
     assert map_image(p, f) == ref_linear_image(p, f.entries, "B", m)
+
+
+def _counting_kernel_calls(fn, *args):
+    """fn(*args) and the number of double description runs it made."""
+    calls = []
+    real_process = dd.process
+    dd.process = lambda *a: calls.append(a) or real_process(*a)
+    try:
+        return fn(*args), len(calls)
+    finally:
+        dd.process = real_process
+
+
+@st.composite
+def injective_maps(draw, p):
+    """A matrix injective on p's affine hull: invertible, then a coordinate inclusion.
+
+    When p lies in a hyperplane x_d = c, the invertible part sometimes has
+    only d - 1 rows, of the form L @ U with U upper triangular: its kernel
+    then has x_d != 0, so the map is injective on p's hull but not on Q^d.
+    """
+    d = p.dim_ambient
+    flat = (not p.empty and d > 1 and len({v[-1] for v in p.vertices}) == 1
+            and all(r[-1] == 0 for r in p.rays + p.lineality))
+    drop = flat and draw(st.booleans())
+    k = d - drop
+    nonzero = _rats.filter(bool)
+    lower = [[draw(nonzero) if i == j else draw(_rats) if j < i else 0 for j in range(k)]
+             for i in range(k)]
+    upper = [[draw(nonzero) if i == j else draw(_ints) if j > i else 0 for j in range(d)]
+             for i in range(k)]
+    square = [[sum(lower[i][t] * upper[t][j] for t in range(k)) for j in range(d)]
+              for i in range(k)]
+    rows = draw(st.permutations(square + [[0] * d] * draw(st.integers(0, 2))))
+    return tuple(map(tuple, rows))
+
+
+@HYP
+@given(st.integers(1, 4).flatmap(lambda d: polyhedra(d).flatmap(
+    lambda p: st.tuples(st.just(p), injective_maps(p)))))
+def test_injective_image_is_read_off_canonical_data(case):
+    # a map injective on the hull carries the canonical form over, with no
+    # double description run
+    p, entries = case
+    f = RationalMap(entries, "Q", "B", p.dim_ambient)
+    got, runs = _counting_kernel_calls(map_image, p, f)
+    assert runs == 0
+    assert repr(got) == repr(ref_linear_image(p, entries, "B", len(entries)))
+    assert got == linear_image(p, entries, "B", len(entries))
+
+
+def test_non_injective_image_matches_reference():
+    # a square projected onto a line has a kernel along its hull
+    square = poly_V([(0, 0), (1, 0), (0, 1), (1, 1)])
+    entries = ((1, 1),)
+    got, runs = _counting_kernel_calls(linear_image, square, entries, "R", 1)
+    assert runs == 1
+    assert got == ref_linear_image(square, entries, "R", 1) == poly_V([(0,), (2,)], d=1, name="R")
+
+
+def test_zero_row_maps_of_different_widths():
+    # the map into Q^0 is the empty matrix whatever its width; each keeps its own
+    point = LatticeMap((), "Q", "pt", 2)
+    line = LatticeMap((), "Q", "pt", 1)
+    tri = poly_V([(0, 0), (1, 0), (0, 1)])
+    seg = poly_V([(0,), (1,)], d=1)
+    assert map_image(tri, point) == ref_linear_image(tri, (), "pt", 0)
+    assert map_image(seg, line) == ref_linear_image(seg, (), "pt", 0)
+    with pytest.raises(ValueError, match="width 1, expected 2"):
+        map_image(tri, line)
+
+
+@st.composite
+def cones_or_zero(draw):
+    if draw(st.integers(0, 5)):
+        return draw(cones())
+    d = draw(st.integers(0, 3))
+    return Cone.from_rays("Q", d, [])
+
+
+@HYP
+@given(cones_or_zero())
+def test_cone_to_polyhedron_matches_from_generators(c):
+    got, runs = _counting_kernel_calls(c.to_polyhedron)
+    assert runs == 0
+    want = Polyhedron.from_generators(c.ambient, c.dim_ambient, [(0,) * c.dim_ambient],
+                                      c.rays, c.lineality)
+    assert repr(got) == repr(want)
 
 
 # --- faces, tail cones and facets read off the incidence -------------------
