@@ -1,8 +1,10 @@
 """Double description constraint loop, in pure Python.
 
-`process` incrementally intersects the full space with halfspaces/hyperplanes,
+`process` incrementally intersects a cone with halfspaces/hyperplanes,
 maintaining a minimal generating system (lineality basis + extreme rays) and
 per-ray bitsets of tight inequalities for the combinatorial adjacency test.
+It starts from the whole space, or resumes from a minimal system that an
+earlier run (or the canonical data of a polyhedron) already holds.
 All arithmetic is arbitrary-precision integer; output is raw (canonicalised
 by the caller).
 """
@@ -10,18 +12,27 @@ by the caller).
 from ._vecops import dot, primitive
 
 
-def process(dim, constraints):
+def process(dim, constraints, start=None):
     """Run the incremental double description loop.
 
     constraints: sequence of (vector, is_equality) with integer vectors a,
     each meaning a.x >= 0 (inequality) or a.x == 0 (equality).
-    Returns (ray_vectors, lineality_rows), both lists of int tuples, not yet
-    canonicalised.
+    `start` is None (begin with the whole space) or a minimal system
+    (rays, zsets, lineality, nbit) of the cone cut out by `nbit` inequalities
+    processed before: its extreme rays modulo the lineality, a basis of the
+    lineality space, and for each ray the bitmask of those inequalities it
+    is tight on.  The loop then adds bit `nbit` onwards, one per inequality.
+    Returns (ray_vectors, lineality_rows, zsets): int tuples, not yet
+    canonicalised, and the final bitmasks, aligned with the rays.
     """
-    lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    vecs = []   # extreme rays
-    zsets = []  # bitmask per ray: tight inequalities among those processed
-    nbit = 0
+    if start is None:
+        lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+        vecs = []   # extreme rays
+        zsets = []  # bitmask per ray: tight inequalities among those processed
+        nbit = 0
+    else:
+        vecs, zsets, lin, nbit = start
+        vecs, zsets, lin = list(vecs), list(zsets), list(lin)
 
     for a, is_eq in constraints:
         if all(x == 0 for x in a):
@@ -105,4 +116,4 @@ def process(dim, constraints):
         vecs = new_vecs
         zsets = new_zsets
 
-    return vecs, lin
+    return vecs, lin, zsets

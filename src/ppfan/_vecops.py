@@ -36,7 +36,10 @@ def scale_to_int(v):
     """Clear denominators of a rational vector; returns a primitive int tuple.
 
     Entries must be ints or Fractions; anything else (a float) is a ValueError.
+    A vector of plain ints (bools are not) only needs `primitive`.
     """
+    if all(type(x) is int for x in v):
+        return primitive(v)
     lcm = 1
     for x in v:
         if isinstance(x, Fraction):

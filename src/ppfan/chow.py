@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._vecops import scale_to_int
+from ._vecops import dot, scale_to_int
 from .divisors import FansyDivisor, Label, PPDivisor, check_subdivision_structure
 from .lattice import (
     LatticeMap,
@@ -227,6 +227,14 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     """One pp-divisor per ambient coordinate: project all boundary faces along
     the degree direction.  Duplicate cells (repeated coordinates) are merged.
     `target` names the quotient lattice.
+
+    Each term is `map_image(boundary_face(...), p)`, built without the face
+    or the image: every nonempty coefficient is conv(V) + tail (`PPDivisor`
+    holds it to the divisor's tail), so its face minimising the v-th form u
+    is conv(W) + face_u(tail), W the vertices of V minimising u, and
+    p(A + B) = p(A) + p(B).  The term is the tail face's image, computed
+    once per coordinate, extended by p(w) - p(w1) for each further w in W
+    (`Polyhedron.with_vertex`) and translated by p(w1).
     """
     emb = recipe.emb
     if setup.degree_element is None:
@@ -240,18 +248,29 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     e_dir = scale_to_int(e)
     col = LatticeMap(tuple((x,) for x in e_dir), "degree-axis", ambient)
     p = quotient_projection(col, name=target or f"{ambient}/deg")
+    hom_p = p.homogenised.rows
     tail_poly = recipe.divisor.tail.to_polyhedron()
+    empty = Polyhedron.empty_in(p.codomain, p.rows)
+    fibers = [positive_fiber(setup.pi, c) for _, c in recipe.rays]
     cells = []
     seen = set()
     for v in range(setup.pi.cols):
+        form = emb.entries[v]
+        unit = tuple(1 if j == v else 0 for j in range(setup.pi.cols))
+        timg = map_image(face_minimizing(tail_poly, form), p)
         terms = []
-        for label, _ in recipe.divisor.terms:
-            face = boundary_face(setup, recipe, label, v)
-            terms.append((label, map_image(face, p)))
-        tface = face_minimizing(tail_poly, emb.entries[v])
-        timg = map_image(tface, p)
-        tail_v = timg.tail_cone()
-        div = PPDivisor(p.codomain, p.rows, tail_v, tuple(terms))
+        for (label, delta), fib in zip(recipe.divisor.terms, fibers):
+            if min_value(fib, unit) > 0:
+                terms.append((label, empty))
+                continue
+            # images (a, b) of the minimising vertices, the point a/b each
+            (*a1, b1), *rest = (mat_vec(hom_p, g) for g in _minimizers(delta, form))
+            term = timg
+            for *a, b in rest:
+                term = term._with_hom_vertex(tuple(b1 * x - b * y for x, y in zip(a, a1))
+                                             + (b * b1,))
+            terms.append((label, term.translate(tuple(Fraction(x, b1) for x in a1))))
+        div = PPDivisor(p.codomain, p.rows, timg.tail_cone(), tuple(terms))
         if div in seen:
             continue
         seen.add(div)
@@ -264,3 +283,16 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
             raise AssertionError("projectivization violates the subdivision axioms: "
                                  + "; ".join(report.findings))
     return fansy
+
+
+def _minimizers(poly, form):
+    """The homogeneous vertices (N, D) of poly on which form.N / D is least."""
+    if poly.empty:
+        raise ValueError("empty polyhedron")
+    verts = poly._hom_gens[0]
+    vals = [(dot(form, g[:-1]), g[-1]) for g in verts]
+    n0, d0 = vals[0]
+    for n, d in vals:
+        if n * d0 < n0 * d:
+            n0, d0 = n, d
+    return [g for g, (n, d) in zip(verts, vals) if n * d0 == n0 * d]

@@ -2,14 +2,16 @@
 
 `process` (in `ppfan._ddpure`) is the double description constraint loop
 (Fukuda & Prodon, *Double description method revisited*): it intersects the
-whole space with one row at a time and returns raw rays and lineality.
-`dd_cone` calls it through this module's global `process`, so a test or a
-tracer can rebind that one name to see every run, and turns its output into
-the canonical description.  `dd_pair` gives both canonical descriptions from
-one run: the second is read off the incidence between the computed rays and
-the input rows by `from_incidence`.  The same routine gives faces, tail
-cones and facets of a polyhedron or cone that is already canonical, from the
-incidence of its own generators with its own rows, with no run at all.
+whole space, or a cone whose minimal system it is given, with one row at a
+time and returns raw rays, lineality and tight sets.  `dd_cone` calls it
+through this module's global `process`, so a test or a tracer can rebind
+that one name to see every run, and turns its output into the canonical
+description; `Polyhedron.with_vertex` resumes it through the same global.
+`dd_pair` gives both canonical descriptions from one run: the second is
+read off the incidence between the computed rays and the input rows by
+`from_incidence`.  The same routine gives faces, tail cones and facets of a
+polyhedron or cone that is already canonical, from the incidence of its own
+generators with its own rows, with no run at all.
 """
 
 from ._ddpure import process
@@ -31,7 +33,7 @@ def dd_cone(dim, ineqs, eqs):
     for v, _ in constraints:
         if len(v) != dim:
             raise ValueError(f"vector {v!r} has length {len(v)}, expected {dim}")
-    vecs, lin_rows = process(dim, constraints)
+    vecs, lin_rows, _ = process(dim, constraints)
     lin = rref_primitive(lin_rows, dim)
     rays = set()
     if lin:

@@ -417,7 +417,8 @@ def fansy_closed_form(n) -> FansyDivisor:
             elif meets_part == 2:
                 poly = tail.translate(low)
             else:
-                poly = Polyhedron.from_generators(rs.ambient, rs.dim, [high, low], tau.rays)
+                # extend at the vertex 0 and translate last: `tail` keeps one incidence
+                poly = tail.with_vertex(tuple(h - l for h, l in zip(high, low))).translate(low)
             terms.append((B.label(), poly))
         cells.append((K, PPDivisor(rs.ambient, rs.dim, tau, tuple(terms))))
     return FansyDivisor(rs.ambient, rs.dim, tuple(labels), tuple(cells))

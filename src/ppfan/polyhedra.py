@@ -24,7 +24,10 @@ incidence of the object's own generators with its own rows, which is cached
 on the instance.  Translates (`Polyhedron.translate`), a cone as a
 polyhedron (`Cone.to_polyhedron`) and images under maps injective on the
 affine hull (`linear_image`) need no run either: they carry the canonical
-data over, the last one through the map's `lattice.Homogenised` data.
+data over, the last one through the map's `lattice.Homogenised` data.  Nor
+does the convex hull with one more vertex (`Polyhedron.with_vertex`): it is
+one step of the kernel resumed from the cached incidence, the polar cone's
+minimal system, instead of a run from the whole space.
 Polyhedra are homogenised with one extra trailing coordinate.
 
 `Subdivision.check` reads each facet off the cell's own generators: the
@@ -49,6 +52,7 @@ from itertools import combinations
 
 from ._vecops import (dot, frac_str, is_zero, neg, primitive, reduce_mod_rows, rref,
                       rref_primitive, scale_to_int, sign_canonical)
+from . import dd
 from .dd import dd_pair, from_incidence, tight_masks
 from .lattice import homogenise, mat_vec, matrix_rank, rational_left_inverse
 
@@ -331,6 +335,55 @@ class Polyhedron:
         ineqs, eqs = from_incidence(self.dim_ambient, zip(rows, tight_masks(rows, self.rays)),
                                     (1 << len(self.rays)) - 1, [e[:-1] for e in self.eqs])
         return Cone(self.ambient, self.dim_ambient, self.rays, self.lineality, ineqs, eqs)
+
+    def with_vertex(self, v):
+        """conv(self ∪ {v}): generated by self's generators and the vertex v.
+
+        One step of double description resumed from the canonical data (the
+        beneath–beyond step), not a run from scratch.  The polar of the
+        homogenisation cone C is generated by C's facet rows, with C's
+        equations as its lineality, and C's generators (vertices and rays as
+        inequalities) cut it out, so `_incidence` is a minimal system of the
+        polar with the right tight sets: the rows `_hom_rows[0]`, plus x0 >= 0
+        when it is a facet of C, that is, when its mask is contained in no
+        facet's (every face lies in a facet, and distinct faces have distinct
+        masks).  Adding the constraint hom(v) >= 0 to the polar gives the
+        polar of the cone over conv(self ∪ {v}) (Fukuda & Prodon, *Double
+        description method revisited*).  Its lineality is the new equations
+        (one fewer when v is off the affine hull), its rays reduced modulo
+        them are the facets, and a generator is extreme exactly when the set
+        of facets it lies on, read off the final tight masks, is
+        inclusion-maximal: a non-extreme one lies on fewer facets than the
+        extreme rays of its minimal face.  The lineality is unchanged, since
+        the point hom(v) has x0 = 1 and adds none.  Raises on an empty self.
+        """
+        _check_lengths(self.dim_ambient, [v], "vertex")
+        if self.empty:
+            raise ValueError("empty polyhedron has no generators to extend")
+        return self._with_hom_vertex(scale_to_int(tuple(v) + (1,)))
+
+    def _with_hom_vertex(self, hv):
+        """`with_vertex` of the point with homogeneous integer coordinates hv (x0 > 0)."""
+        dim = self.dim_ambient + 1
+        verts, rays, lin = self._hom_gens
+        hv = reduce_mod_rows(hv, lin)
+        *facets, (x0_row, x0_mask) = self._incidence
+        start_rays = [a for a, _ in facets]
+        start_z = [m for _, m in facets]
+        if all(x0_mask & m != x0_mask for m in start_z):
+            start_rays.append(x0_row)
+            start_z.append(x0_mask)
+        n = len(verts) + len(rays)
+        out, out_lin, zsets = dd.process(dim, [(hv, False)],
+                                         (start_rays, start_z, self._hom_rows[1], n))
+        equations = rref_primitive(out_lin, dim)
+        gens = verts + rays + (hv,)
+        # per generator, the facets it lies on
+        on = [sum(1 << j for j, z in enumerate(zsets) if z >> i & 1) for i in range(n + 1)]
+        kept = [g for g, m in zip(gens, on) if not any(m != o and m & o == m for o in on)]
+        # dict.fromkeys: v may be one of the vertices already
+        return _poly_from_cone(self.ambient, self.dim_ambient, list(dict.fromkeys(kept)), lin,
+                               [reduce_mod_rows(a, equations) for a in out], equations)
 
     def contains(self, x):
         _check_lengths(self.dim_ambient, [x], "point")

@@ -32,6 +32,24 @@ def test_dd_cone_calls_the_kernel_through_the_module_global(monkeypatch):
     assert calls == [(3, 3), (2, 3), (0, 0)]
 
 
+def test_resumed_runs_go_through_the_module_global(monkeypatch):
+    # `Polyhedron.with_vertex` resumes the kernel for one constraint; the
+    # same wrapper sees that run, with its start state
+    from ppfan.polyhedra import Polyhedron
+
+    square = Polyhedron.from_generators("Q", 2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    calls = []
+    kernel = dd.process
+
+    def counting(dim, constraints, start=None):
+        calls.append((dim, len(constraints), start is not None))
+        return kernel(dim, constraints, start)
+
+    monkeypatch.setattr(dd, "process", counting)
+    square.with_vertex((2, 2))
+    assert calls == [(3, 1, True)]
+
+
 def test_dd_handles_duplicates_and_zero_rows():
     rays1, lin1 = dd.dd_cone(2, [(1, 0), (1, 0), (0, 0)], [])
     rays2, lin2 = dd.dd_cone(2, [(1, 0)], [])
@@ -116,3 +134,18 @@ def test_dd_pair_edge_cases(d, ineqs, eqs):
     assert (rays, lin) == dd.dd_cone(d, ineqs, eqs)
     assert (facets, equations) == dd.dd_cone(d, rays, lin)
 
+
+
+@HYP
+@given(cone_systems(), st.data())
+def test_process_resumes_where_it_stopped(system, data):
+    # a run split after any prefix, the second part started from the first
+    # part's state, ends in exactly the state of the whole run
+    from ppfan._ddpure import process
+
+    d, ineqs, eqs = system
+    constraints = data.draw(st.permutations([(e, True) for e in eqs] + [(a, False) for a in ineqs]))
+    k = data.draw(st.integers(0, len(constraints)))
+    rays, lin, zsets = process(d, constraints[:k])
+    nbit = sum(1 for a, is_eq in constraints[:k] if not is_eq and any(a))
+    assert process(d, constraints[k:], (rays, zsets, lin, nbit)) == process(d, constraints)

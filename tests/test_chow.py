@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from ppfan._vecops import scale_to_int
 from ppfan.chow import (
+    _degree_solution,
     boundary_face,
     build_setup,
     positive_fiber,
@@ -11,8 +13,8 @@ from ppfan.chow import (
     projectivize,
 )
 from ppfan.divisors import Label, check_subdivision_structure, translate_coefficient
-from ppfan.lattice import LatticeMap, identity_matrix, mat_mul, mat_vec
-from ppfan.polyhedra import Polyhedron
+from ppfan.lattice import LatticeMap, identity_matrix, mat_mul, mat_vec, quotient_projection
+from ppfan.polyhedra import Polyhedron, map_image
 
 
 def weighted_line_setup(a, b, A, B):
@@ -75,6 +77,49 @@ def test_projectivized_cells_worked_example():
     assert by_key[2].coefficient(lab0) == Polyhedron.from_generators("N", 1, [(1,)], [(1,)])
     assert by_key[2].coefficient(labinf) == Polyhedron.from_generators("N", 1, [(F(-1, 2),)], [(1,)])
     assert check_subdivision_structure(fansy).passed
+
+
+def ref_projected_terms(setup, recipe, v):
+    """The v-th cell's terms by definition: each boundary face, projected
+    along the degree direction with `map_image`."""
+    ambient = recipe.divisor.ambient
+    e = scale_to_int(_degree_solution(recipe.emb))
+    p = quotient_projection(LatticeMap(tuple((x,) for x in e), "degree-axis", ambient),
+                            name=f"{ambient}/deg")
+    return tuple((label, map_image(boundary_face(setup, recipe, label, v), p))
+                 for label in recipe.divisor.labels())
+
+
+def _gr5():
+    from ppfan.grassmann import gr_setup, recipe_divisor
+
+    return gr_setup(5).ws, recipe_divisor(5)
+
+
+def _points_on_a_line(k):
+    setup = build_setup(LatticeMap(((1,) * k, tuple(range(k))), "E", "M"))
+    return setup, pp_from_weights(setup)
+
+
+def _three_weights():
+    setup = weighted_line_setup(2, 1, 1, 1)
+    return setup, pp_from_weights(setup)
+
+
+@pytest.mark.parametrize("make", [_gr5, lambda: _points_on_a_line(5), _three_weights],
+                         ids=["gr5", "five-points-on-a-line", "three-weights"])
+def test_projectivize_terms_are_projected_boundary_faces(make):
+    # projectivize builds each term from the tail face's image and the
+    # minimising vertices; the definition is the face, then its image
+    setup, recipe = make()
+    fansy = projectivize(setup, recipe)
+    cells = {cell.terms for _, cell in fansy.cells}
+    by_key = dict(fansy.cells)
+    for v in range(setup.pi.cols):
+        want = ref_projected_terms(setup, recipe, v)
+        assert want in cells
+        if v in by_key:
+            assert by_key[v].terms == want
 
 
 def test_boundary_union_covers_relative_boundary():

@@ -289,27 +289,35 @@ def test_two_routes_agree(n):
 
 
 def test_routes_run_double_description_only_where_needed(monkeypatch):
-    # closed form: one run per tail cone (10) and per segment coefficient (60);
+    # closed form: one run from scratch per tail cone (10) and one resumed
+    # one-constraint step per segment coefficient (60, `with_vertex`);
     # one-vertex coefficients are translates of the tail.  Recipe: one run
-    # per fiber (10) and two for the tail; every image is read off canonical
-    # data.  The fiber cache is cleared so that the count is the cold one.
+    # per fiber (10) and two for the tail, and one step per projected
+    # boundary face with two minimising vertices (60); every image is read
+    # off canonical data.  The fiber cache is cleared so that the count is
+    # the cold one.
     import ppfan.dd as dd
     from ppfan.chow import positive_fiber
 
-    calls = []
+    fresh, resumed = [], []
     real_process = dd.process
 
-    def counting(*args):
-        calls.append(args)
-        return real_process(*args)
+    def counting(dim, constraints, start=None):
+        if start is None:
+            fresh.append(dim)
+        else:
+            assert len(constraints) == 1
+            resumed.append(dim)
+        return real_process(dim, constraints, start)
 
     monkeypatch.setattr(dd, "process", counting)
     fansy_closed_form(5)
-    assert len(calls) == 70
-    calls.clear()
+    assert (len(fresh), len(resumed)) == (10, 60)
+    fresh.clear()
+    resumed.clear()
     positive_fiber.cache_clear()
     fansy_via_recipe(5, verify=False)
-    assert len(calls) == 12
+    assert (len(fresh), len(resumed)) == (12, 60)
 
 
 def test_n5_balanced_edge():

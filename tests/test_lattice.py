@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ppfan._vecops import reduce_mod_rows, rref, rref_primitive, scale_to_int, sign_canonical
+from ppfan._vecops import (primitive, reduce_mod_rows, rref, rref_primitive, scale_to_int,
+                           sign_canonical)
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
@@ -520,3 +522,40 @@ def test_reduce_mod_rows_matches_fraction_reference(case):
         assert not any(got)
     for r in rows:
         assert got[next(i for i, x in enumerate(r) if x)] == 0
+
+
+def ref_scale_to_int(v):
+    """`scale_to_int` as it was before its all-int fast path."""
+    lcm = 1
+    for x in v:
+        if isinstance(x, Fraction):
+            d = x.denominator
+            lcm = lcm // math.gcd(lcm, d) * d
+        elif not isinstance(x, int):
+            raise ValueError(f"{x!r} in {tuple(v)!r} is not an int or a Fraction")
+    if lcm == 1:
+        return primitive(tuple(int(x) for x in v))
+    return primitive(tuple(x.numerator * (lcm // x.denominator) for x in v))
+
+
+@HYP
+@given(st.lists(st.one_of(st.integers(-12, 12), st.booleans(),
+                          st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))),
+                max_size=5))
+def test_scale_to_int_matches_reference(v):
+    got = scale_to_int(v)
+    assert got == ref_scale_to_int(v)
+    assert type(got) is tuple and all(type(x) is int for x in got)
+
+
+def test_scale_to_int_fast_path_keeps_floats_out_and_bools_in():
+    # all-int rows only need `primitive`; bools take the general path and
+    # come out as ints, floats still raise
+    assert scale_to_int((4, -6, 0)) == (2, -3, 0)
+    assert scale_to_int([0, 0]) == (0, 0) and scale_to_int(()) == ()
+    for v, want in [((True, False, 2), (1, 0, 2)), ((True, True), (1, 1)), ((False, 3), (0, 1))]:
+        got = scale_to_int(v)
+        assert got == want and all(type(x) is int for x in got)
+    for v in [(1, 1.5), (2.0,), (Fraction(1, 2), 0.5)]:
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            scale_to_int(v)

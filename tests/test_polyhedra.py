@@ -704,6 +704,66 @@ def test_translate_matches_rebuild(case):
     assert repr(got) == repr(want)
 
 
+@st.composite
+def extensions(draw):
+    """(p, v, w): a point v inside p, at a vertex, on the affine hull, off it,
+    or past the vertex w so that w is no longer one (w is None otherwise)."""
+    d = draw(st.integers(1, 4))
+    p = draw(polyhedra(d))
+    kind = draw(st.sampled_from(["inside", "vertex", "hull", "off", "absorbing"]))
+    if p.empty:
+        return p, draw(st.tuples(*[_rats] * d)), None
+    x = p.relative_interior_point()
+    w = draw(st.sampled_from(p.vertices))
+    if kind == "inside":
+        return p, x, None
+    if kind == "vertex":
+        return p, w, None
+    if kind == "absorbing":
+        # w = (v + 2x)/3 lies between v and a point of p
+        return p, tuple(a + 2 * (a - b) for a, b in zip(w, x)), w if w != x else None
+    if kind == "hull":
+        # along the line through w and x, then along rays and lines either way
+        v = tuple(a + draw(_rats) * (a - b) for a, b in zip(w, x))
+        for r in p.rays + p.lineality:
+            t = draw(_ints)
+            v = tuple(a + t * b for a, b in zip(v, r))
+        return p, v, None
+    if p.eqs:
+        # a step along an equation's normal leaves the hull
+        return p, tuple(a + b for a, b in zip(x, p.eqs[0][:-1])), None
+    return p, draw(st.tuples(*[_rats] * d)), None
+
+
+@HYP
+@given(extensions())
+def test_with_vertex_matches_rebuild(case):
+    # one resumed double description step equals a run from scratch on the
+    # generators with v appended
+    p, v, absorbed = case
+    if p.empty:
+        with pytest.raises(ValueError, match="empty"):
+            p.with_vertex(v)
+        return
+    starts = []
+    real_process = dd.process
+
+    def counting(dim, constraints, start=None):
+        starts.append(start is not None)
+        return real_process(dim, constraints, start)
+
+    dd.process = counting
+    try:
+        got = p.with_vertex(v)
+    finally:
+        dd.process = real_process
+    assert starts == [True]
+    want = poly_V(list(p.vertices) + [v], p.rays, p.lineality, d=p.dim_ambient)
+    assert repr(got) == repr(want)
+    if absorbed is not None:
+        assert absorbed not in got.vertices
+
+
 @HYP
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(polyhedra(d), st.tuples(*[_rats] * d),
                                                      st.tuples(*[_ints] * d))))
