@@ -55,7 +55,13 @@ def scale_to_int(v):
 def frac_str(x):
     """A rational as its JSON string: "p" for integers, "p/q" otherwise."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return ratio_str(x.numerator, x.denominator)
+
+
+def ratio_str(n, d):
+    """`frac_str` of n/d for ints n and d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def sign_canonical(v):

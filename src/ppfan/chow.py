@@ -251,16 +251,20 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     hom_p = p.homogenised.rows
     tail_poly = recipe.divisor.tail.to_polyhedron()
     empty = Polyhedron.empty_in(p.codomain, p.rows)
-    fibers = [positive_fiber(setup.pi, c) for _, c in recipe.rays]
+    # the v-th boundary face at a fiber is empty iff x_v > 0 on the whole
+    # fiber: it lies in the orthant, so its rays have x_v >= 0 and the least
+    # x_v is at a point (N, D), which has N_v >= 0; per fiber, the v with N_v = 0
+    zero_at = [{v for pt in positive_fiber(setup.pi, c).points for v, x in enumerate(pt[:-1])
+                if x == 0}
+               for _, c in recipe.rays]
     cells = []
     seen = set()
     for v in range(setup.pi.cols):
         form = emb.entries[v]
-        unit = tuple(1 if j == v else 0 for j in range(setup.pi.cols))
         timg = map_image(face_minimizing(tail_poly, form), p)
         terms = []
-        for (label, delta), fib in zip(recipe.divisor.terms, fibers):
-            if min_value(fib, unit) > 0:
+        for (label, delta), zero in zip(recipe.divisor.terms, zero_at):
+            if v not in zero:
                 terms.append((label, empty))
                 continue
             # images (a, b) of the minimising vertices, the point a/b each
@@ -269,7 +273,7 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
             for *a, b in rest:
                 term = term._with_hom_vertex(tuple(b1 * x - b * y for x, y in zip(a, a1))
                                              + (b * b1,))
-            terms.append((label, term.translate(tuple(Fraction(x, b1) for x in a1))))
+            terms.append((label, term._translate_hom((*a1, b1))))
         div = PPDivisor(p.codomain, p.rows, timg.tail_cone(), tuple(terms))
         if div in seen:
             continue

@@ -408,17 +408,19 @@ def fansy_closed_form(n) -> FansyDivisor:
         tail = tau.to_polyhedron()
         terms = []
         for B in parts:
-            ell_part = rs.ell_sum(B.part)
-            high = tuple(Fraction(B.b - 1, n - 2) * x for x in ell_part)
-            low = tuple(Fraction(B.b + 1 - n, n - 2) * x for x in ell_part)
+            # the endpoints (b-1)/(n-2) and (b+1-n)/(n-2) times the part
+            # vector, in homogeneous integer coordinates; high - low = ell
+            ell = rs.ell_sum(B.part)
+            high = tuple((B.b - 1) * x for x in ell) + (n - 2,)
+            low = tuple((B.b + 1 - n) * x for x in ell) + (n - 2,)
             meets_part = len(set(K) & set(B.part))
             if meets_part == 0:
-                poly = tail.translate(high)
+                poly = tail._translate_hom(high)
             elif meets_part == 2:
-                poly = tail.translate(low)
+                poly = tail._translate_hom(low)
             else:
                 # extend at the vertex 0 and translate last: `tail` keeps one incidence
-                poly = tail.with_vertex(tuple(h - l for h, l in zip(high, low))).translate(low)
+                poly = tail.with_vertex(ell)._translate_hom(low)
             terms.append((B.label(), poly))
         cells.append((K, PPDivisor(rs.ambient, rs.dim, tau, tuple(terms))))
     return FansyDivisor(rs.ambient, rs.dim, tuple(labels), tuple(cells))

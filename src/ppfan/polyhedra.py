@@ -28,7 +28,9 @@ data over, the last one through the map's `lattice.Homogenised` data.  Nor
 does the convex hull with one more vertex (`Polyhedron.with_vertex`): it is
 one step of the kernel resumed from the cached incidence, the polar cone's
 minimal system, instead of a run from the whole space.
-Polyhedra are homogenised with one extra trailing coordinate.
+Polyhedra are homogenised with one extra trailing coordinate, and store
+each vertex x as its primitive integer row (N, D), x = N/D with D > 0
+(`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
 
 `Subdivision.check` reads each facet off the cell's own generators: the
 facet on a row is generated by the cell's vertices and rays on it and the
@@ -49,9 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
-from ._vecops import (dot, frac_str, is_zero, neg, primitive, reduce_mod_rows, rref,
-                      rref_primitive, scale_to_int, sign_canonical)
+from ._vecops import (dot, frac_str, is_zero, neg, primitive, ratio_str, reduce_mod_rows,
+                      rref, rref_primitive, scale_to_int, sign_canonical)
 from . import dd
 from .dd import dd_pair, from_incidence, tight_masks
 from .lattice import homogenise, mat_vec, matrix_rank, rational_left_inverse
@@ -196,7 +199,7 @@ class Cone:
         0: the canonical data carries over as it is.
         """
         return Polyhedron(self.ambient, self.dim_ambient, False,
-                          vertices=((Fraction(0),) * self.dim_ambient,),
+                          points=((0,) * self.dim_ambient + (1,),),
                           rays=self.rays, lineality=self.lineality,
                           ineqs=tuple(a + (0,) for a in self.ineqs),
                           eqs=tuple(e + (0,) for e in self.eqs))
@@ -222,6 +225,8 @@ EMPTY_MARK = "empty"
 class Polyhedron:
     """Rational polyhedron with canonical dual description.
 
+    `points` are the vertices x as primitive integer rows (N, D), x = N/D
+    with D > 0, reduced modulo the lineality and sorted as int tuples.
     `ineqs` rows are (a_1,...,a_d, b) meaning a.x >= b, scaled to primitive
     integers; `eqs` rows likewise with a.x == b, the primitive RREF rows of
     their span (so also their own HNF).  The empty polyhedron has
@@ -236,7 +241,7 @@ class Polyhedron:
     ambient: str
     dim_ambient: int
     empty: bool
-    vertices: tuple = ()
+    points: tuple = ()
     rays: tuple = ()
     lineality: tuple = ()
     ineqs: tuple = ()
@@ -263,13 +268,10 @@ class Polyhedron:
         _check_lengths(dim_ambient, vertices, "vertex")
         _check_lengths(dim_ambient, rays, "ray")
         _check_lengths(dim_ambient, lineality, "lineality vector")
-        if not vertices:
-            return Polyhedron.empty_in(ambient, dim_ambient)
-        gens = [scale_to_int(tuple(v) + (1,)) for v in vertices]
-        gens += [scale_to_int(tuple(r)) + (0,) for r in rays]
-        lin = [scale_to_int(tuple(l)) + (0,) for l in lineality]
-        facets, equations, rays, lin = dd_pair(dim_ambient + 1, gens, lin)
-        return _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations)
+        return _from_hom_generators(ambient, dim_ambient,
+                                    [scale_to_int(tuple(v) + (1,)) for v in vertices],
+                                    [scale_to_int(tuple(r)) for r in rays],
+                                    [scale_to_int(tuple(l)) for l in lineality])
 
     @property
     def dim(self):
@@ -281,13 +283,15 @@ class Polyhedron:
     def is_pointed(self):
         return not self.lineality
 
+    @property
+    def vertices(self):
+        """The vertices as tuples of Fractions, sorted by value; built on each read."""
+        return tuple(tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in _by_value(self.points))
+
     @cached_property
     def _hom_gens(self):
-        """(vertices, rays, lineality) as integer rows.
-
-        A vertex x becomes (N, D) with x = N/D and D > 0, a ray r becomes (r, 0).
-        """
-        return (tuple(scale_to_int(v + (1,)) for v in self.vertices),
+        """(points, rays, lineality) as integer rows: a ray r becomes (r, 0)."""
+        return (self.points,
                 tuple(r + (0,) for r in self.rays),
                 tuple(l + (0,) for l in self.lineality))
 
@@ -405,18 +409,28 @@ class Polyhedron:
         _check_lengths(self.dim_ambient, [v], "translation vector")
         if self.empty:
             return self
-        # v = N/D with D > 0, reduced modulo the lineality rows (l, 0)
-        *num, den = reduce_mod_rows(scale_to_int(tuple(v) + (1,)),
-                                    [l + (0,) for l in self.lineality])
+        return self._translate_hom(scale_to_int(tuple(v) + (1,)))
+
+    def _translate_hom(self, hv):
+        """`translate` by the point with homogeneous integer coordinates hv (x0 > 0).
+
+        Each point (N, D) becomes (N*den + D*num, D*den), made primitive, and
+        the points are sorted again: int-tuple order is not translation-invariant.
+        """
+        # hv = (num, den) with den > 0, reduced modulo the lineality rows (l, 0)
+        *num, den = reduce_mod_rows(hv, [l + (0,) for l in self.lineality])
 
         def shift(row):
             a, b = row[:-1], row[-1]
             return primitive(tuple(den * x for x in a) + (den * b + dot(a, num),))
 
+        def move(p):
+            d = p[-1]
+            return primitive(tuple(den * x + d * y for x, y in zip(p, num)) + (den * d,))
+
         return Polyhedron(
             self.ambient, self.dim_ambient, False,
-            vertices=tuple(sorted(tuple(x + Fraction(y, den) for x, y in zip(vert, num))
-                                  for vert in self.vertices)),
+            points=tuple(sorted(move(p) for p in self.points)),
             rays=self.rays,
             lineality=self.lineality,
             ineqs=tuple(sorted(shift(a) for a in self.ineqs)),
@@ -424,17 +438,16 @@ class Polyhedron:
         )
 
     def relative_interior_point(self):
+        """The mean of the vertices plus the sum of the rays, as Fractions."""
         if self.empty:
             raise ValueError("empty polyhedron")
-        k = len(self.vertices)
-        pt = [Fraction(0)] * self.dim_ambient
-        for v in self.vertices:
-            for i, x in enumerate(v):
-                pt[i] += Fraction(x, k)
-        for r in self.rays:
-            for i, x in enumerate(r):
-                pt[i] += x
-        return tuple(pt)
+        # the mean of the N/D over the common denominator k * lcm(D)
+        den = lcm(*(p[-1] for p in self.points))
+        scale = [den // p[-1] for p in self.points]
+        den *= len(self.points)
+        return tuple(Fraction(sum(p[i] * s for p, s in zip(self.points, scale))
+                              + den * sum(r[i] for r in self.rays), den)
+                     for i in range(self.dim_ambient))
 
     def is_face_of(self, other):
         """True iff self is a (possibly empty, possibly improper) face of other.
@@ -460,7 +473,7 @@ class Polyhedron:
         return {
             "ambient": self.ambient,
             "empty": False,
-            "vertices": [[frac_str(x) for x in v] for v in self.vertices],
+            "vertices": [[ratio_str(x, p[-1]) for x in p[:-1]] for p in _by_value(self.points)],
             "rays": [list(r) for r in self.rays],
             "lineality": [list(l) for l in self.lineality],
             "halfspaces": [{"normal": list(a[:-1]), "offset": a[-1]} for a in self.ineqs],
@@ -470,21 +483,38 @@ class Polyhedron:
 
 def _hom_row(a, b):
     """(a, b) with a.x >= b (or == b) into a homogeneous integer row (a, -b)."""
-    return scale_to_int(tuple(a) + (-Fraction(b),))
+    return scale_to_int(tuple(a) + (-b if type(b) is int else -Fraction(b),))
+
+
+def _by_value(points):
+    """Homogeneous points (N, D), D > 0, in the lexicographic order of the N/D."""
+    # over a common denominator L the values are the integers N * (L // D)
+    den = lcm(*(p[-1] for p in points))
+    return sorted(points, key=lambda p: tuple(x * (den // p[-1]) for x in p[:-1]))
+
+
+def _from_hom_generators(ambient, dim_ambient, points, rays, lineality):
+    """`from_generators` of primitive integer rows: points (N, D) with D > 0, rays, lineality."""
+    if not points:
+        return Polyhedron.empty_in(ambient, dim_ambient)
+    gens = list(points) + [r + (0,) for r in rays]
+    facets, equations, rays, lin = dd_pair(dim_ambient + 1, gens, [l + (0,) for l in lineality])
+    return _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations)
 
 
 def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
     """The polyhedron from both canonical descriptions of its homogenisation cone.
 
-    Rays with x0 > 0 are the vertices, the others the tail rays; a facet or
-    equation (a, c) means a.x + c*x0 >= 0 (or = 0), stored as a.x >= -c.  The
-    face x0 = 0 is the recession cone, not a facet of the polyhedron.
+    Rays with x0 > 0 are the `points` as they are, the others the tail rays;
+    a facet or equation (a, c) means a.x + c*x0 >= 0 (or = 0), stored as
+    a.x >= -c.  The face x0 = 0 is the recession cone, not a facet of the
+    polyhedron.
     """
     verts = []
     tails = []
     for r in rays:
         if r[-1] > 0:
-            verts.append(tuple(Fraction(x, r[-1]) for x in r[:-1]))
+            verts.append(r)
         else:
             tails.append(r[:-1])
     if not verts:
@@ -493,7 +523,7 @@ def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
     eqs = tuple(r[:-1] + (-r[-1],) for r in equations if not is_zero(r[:-1]))
     return Polyhedron(
         ambient, dim_ambient, False,
-        vertices=tuple(sorted(verts)),
+        points=tuple(sorted(verts)),
         rays=tuple(sorted(tails)),
         lineality=tuple(l[:-1] for l in lin),
         ineqs=ineqs,
@@ -546,10 +576,12 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     _check_same_ambient(p, q)
     if p.empty or q.empty:
         raise ValueError("Minkowski sum needs nonempty summands")
-    verts = [tuple(Fraction(a) + Fraction(b) for a, b in zip(v, w))
-             for v in p.vertices for w in q.vertices]
-    return Polyhedron.from_generators(p.ambient, p.dim_ambient, verts,
-                                      p.rays + q.rays, p.lineality + q.lineality)
+    # N/D + M/E = (N*E + M*D) / (D*E)
+    points = [primitive(tuple(x * w[-1] + y * v[-1] for x, y in zip(v, w[:-1]))
+                        + (v[-1] * w[-1],))
+              for v in p.points for w in q.points]
+    return _from_hom_generators(p.ambient, p.dim_ambient, points,
+                                p.rays + q.rays, p.lineality + q.lineality)
 
 
 def min_value(p: Polyhedron, u):
@@ -630,12 +662,11 @@ def linear_image(p: Polyhedron, entries, codomain, dim_codomain, hom=None) -> Po
     work, pivots = rref([on_kernel(e) for e in p._hom_rows[1]], k)
     if len(pivots) < k:
         # a kernel direction along the hull: one run on the images
-        points = [tuple(Fraction(x, v[-1]) for x in v[:-1]) for v in verts]
         rays = [primitive(r[:-1]) for r in rays]
         lin = [primitive(l[:-1]) for l in lin]
-        return Polyhedron.from_generators(codomain, dim_codomain, points,
-                                          [r for r in rays if not is_zero(r)],
-                                          [l for l in lin if not is_zero(l)])
+        return _from_hom_generators(codomain, dim_codomain, [primitive(v) for v in verts],
+                                    [r for r in rays if not is_zero(r)],
+                                    [l for l in lin if not is_zero(l)])
     lin = rref_primitive(lin, dim_codomain + 1)
     eqs = rref_primitive([mat_vec(hom.pullback, e[k:]) for e in work[k:]] + list(hom.cokernel),
                          dim_codomain + 1)

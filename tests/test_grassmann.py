@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction as F
 from math import comb
 
@@ -363,6 +364,18 @@ def test_condition1_findings_digest(n, digest):
     from ppfan.divisors import check_fansy_condition1
     findings = check_fansy_condition1(fansy_closed_form(n)).findings
     assert hashlib.sha256("\n".join(findings).encode()).hexdigest() == digest
+
+
+# sha256 of the canonical JSON (sorted keys, no spaces) of the Gr(2,n) fansy
+# divisor; both routes serialise to it byte for byte
+@pytest.mark.parametrize("n, digest", [
+    (6, "e9aeb8d3f95cf62fbcfcbeddcfdbf333ba368ee3ce88dd7f87e662a03a594e5b"),
+    (7, "38612ee2ba22f6e0c82d309ae7f79921c4a9470004c7e86ebf795bf0b5a36653"),
+])
+def test_route_json_digest(n, digest):
+    for fansy in (fansy_closed_form(n), fansy_via_recipe(n, verify=False)):
+        text = json.dumps(fansy.to_json(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_intersect_cells_sharing_the_edge():

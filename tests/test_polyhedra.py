@@ -704,6 +704,45 @@ def test_translate_matches_rebuild(case):
     assert repr(got) == repr(want)
 
 
+@HYP
+@given(st.integers(1, 3).flatmap(polyhedra))
+def test_points_are_canonical_homogeneous_rows(p):
+    # one primitive row (N, D), D > 0, per vertex N/D, zero on the lineality's
+    # pivot columns, sorted as int tuples; vertices are their values in order
+    assume(not p.empty)
+    assert p.points == tuple(sorted(p.points))
+    pivots = [next(i for i, x in enumerate(l) if x) for l in p.lineality]
+    for pt in p.points:
+        assert pt[-1] > 0 and math.gcd(*pt) == 1
+        assert all(pt[i] == 0 for i in pivots)
+    assert p._hom_gens[0] is p.points
+    assert p.vertices == tuple(sorted(tuple(F(x, pt[-1]) for x in pt[:-1]) for pt in p.points))
+
+
+@HYP
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(polyhedra(d), st.tuples(*[_ints] * d),
+                                                     st.integers(1, 4), st.integers(1, 3))))
+def test_translate_hom_matches_translate(case):
+    # any positive multiple k of the homogeneous shift (num, den) moves p by num/den
+    p, num, den, k = case
+    assume(not p.empty)
+    v = tuple(F(x, den) for x in num)
+    got = p._translate_hom(tuple(k * x for x in num) + (k * den,))
+    assert got == p.translate(v)
+    assert got == ref_from_generators(p.ambient, p.dim_ambient,
+                                      [tuple(a + b for a, b in zip(w, v)) for w in p.vertices],
+                                      p.rays, p.lineality)
+
+
+@HYP
+@given(st.integers(1, 3).flatmap(polyhedra))
+def test_json_vertices_match_fraction_formatting(p):
+    # the JSON writes each vertex as str() of its Fractions, in value order
+    assume(not p.empty)
+    rows = sorted(tuple(F(x, pt[-1]) for x in pt[:-1]) for pt in p.points)
+    assert p.to_json()["vertices"] == [[str(x) for x in v] for v in rows]
+
+
 @st.composite
 def extensions(draw):
     """(p, v, w): a point v inside p, at a vertex, on the affine hull, off it,
@@ -1195,7 +1234,8 @@ def ref_poly_from_hom(ambient, d, hom_ineqs, hom_eqs):
     pol_rays, pol_lin = dd_cone(d + 1, gens, [l + (0,) for l in lin_rows])
     ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in pol_rays if not is_zero(r[:-1])))
     eqs = tuple(r[:-1] + (-r[-1],) for r in pol_lin if not is_zero(r[:-1]))
-    return Polyhedron(ambient, d, False, tuple(sorted(verts)), tuple(sorted(tails)),
+    return Polyhedron(ambient, d, False, tuple(sorted(scale_to_int(v + (1,)) for v in verts)),
+                      tuple(sorted(tails)),
                       lin_rows, ineqs, hnf_rows(eqs, d + 1) if eqs else ())
 
 
@@ -1435,7 +1475,7 @@ def test_faces_and_tail_cones_match_rebuild(case):
         # before the x0 = 0 facet is dropped, the incidence gives the whole
         # canonical description of the face's homogenisation cone
         verts, rays, lin = p._hom_gens
-        picked = [v in face.vertices for v in p.vertices] + [r in face.rays for r in p.rays]
+        picked = [g in face.points for g in verts] + [r in face.rays for r in p.rays]
         sel = sum(1 << i for i, b in enumerate(picked) if b)
         on = [g for g, b in zip(verts + rays, picked) if b]
         masked = [(a, m & sel) for a, m in p._incidence]
