@@ -320,6 +320,16 @@ def sigma_cone(n) -> Cone:
     return Cone.from_ineqs(f"Nt({n})", n, setup.emb.entries)
 
 
+@functools.lru_cache(maxsize=None)
+def fiber_tail(n) -> Polyhedron:
+    """The common tail of the positive fibers: sigma_cone(n) embedded in E(n).
+
+    `emb` is injective, so `map_image` reads it off the cone's canonical data
+    without double description.
+    """
+    return map_image(sigma_cone(n).to_polyhedron(), gr_setup(n).emb)
+
+
 def partition_ray(n, part):
     """Image of the pair indicator of the part under pi; equal for both parts.
 
@@ -343,10 +353,9 @@ def positive_fiber_part(n, part) -> Polyhedron:
     setup = gr_setup(n)
     c, _, _ = partition_ray(n, B)
     fib = positive_fiber(setup.pi, c)
-    sig = sigma_cone(n)
-    verts = [pair_vector(n, B.part), pair_vector(n, B.complement)]
-    rays = [setup.emb.apply(r) for r in sig.rays]
-    closed = Polyhedron.from_generators(setup.ws.deg.domain, setup.pi.cols, verts, rays)
+    v1, v2 = pair_vector(n, B.part), pair_vector(n, B.complement)
+    # the segment [v1, v2] plus the tail, by one resumed step at the vertex 0
+    closed = fiber_tail(n).with_vertex(tuple(y - x for x, y in zip(v1, v2))).translate(v1)
     if fib != closed:
         raise AssertionError(f"positive fiber of {B.part} is not segment + cone")
     return fib
@@ -369,8 +378,8 @@ def partition_coefficient(n, part, check=True) -> Polyhedron:
     in_comp = set(B.complement)
     v2 = tuple(x + half * ((1 if i in in_comp else 0) - (1 if i in B.part else 0))
                for i, x in zip(range(1, n + 1), v1))
-    sig = sigma_cone(n)
-    closed = Polyhedron.from_generators(f"Nt({n})", n, [v1, v2], sig.rays)
+    closed = sigma_cone(n).to_polyhedron().with_vertex(
+        tuple(y - x for x, y in zip(v1, v2))).translate(v1)
     if check:
         fib = positive_fiber_part(n, B)
         if map_image(fib, setup.retraction) != closed:

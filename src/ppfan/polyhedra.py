@@ -1046,21 +1046,49 @@ def induced_subdivision(ambient, points, heights) -> Subdivision:
 
     Heights may be any rationals indexed like the points.  Cells are labelled
     by the sorted tuples of point indices they contain.
+
+    The lift L = conv(lifted points) + cone(up), up = (0, ..., 0, 1), is the
+    only double description run; the support S and the cells are read off
+    it.  The faces of L that contain `up` are the preimages of the faces of
+    S under the projection along t, so L's equations and vertical facets
+    (t-coefficient 0; every equation has it, as `up` lies in L) with t
+    dropped are S's canonical rows, and S's vertices are the projected
+    vertices of L whose sets of vertical facets are inclusion-maximal (the
+    test of `with_vertex`).  The projection is injective on a lower facet f
+    (t-coefficient > 0), so its cell is f's face read off L's incidence (as
+    in `_face`) and projected: each row gets t eliminated against f by a
+    positive multiple, which keeps it on f's hull, and then dropped.
     """
     if len(points) != len(heights):
         raise ValueError("heights must be indexed by points")
     d = len(points[0])
-    lifted = [tuple(p) + (Fraction(h),) for p, h in zip(points, heights)]
-    up = tuple(0 for _ in range(d)) + (1,)
-    lift = Polyhedron.from_generators(f"{ambient}^", d + 1, lifted, rays=[up])
-    support = Polyhedron.from_generators(ambient, d, points)
+    lift = Polyhedron.from_generators(f"{ambient}^", d + 1,
+                                      [tuple(p) + (h,) for p, h in zip(points, heights)],
+                                      rays=[(0,) * d + (1,)])
+    lifted = [scale_to_int(tuple(p) + (h, 1)) for p, h in zip(points, heights)]
+
+    def drop(row):
+        return row[:d] + row[d + 1:]
+
+    # masks of the vertical rows; x0 >= 0 is among them, but tight on no vertex
+    vertical = [m for h, m in lift._incidence if h[d] == 0]
+    on = [sum(1 << j for j, m in enumerate(vertical) if m >> i & 1)
+          for i in range(len(lift.points))]
+    kept = [primitive(drop(p)) for p, m in zip(lift.points, on)
+            if not any(m != o and m & o == m for o in on)]
+    # dropping the common 0 keeps the vertical rows sorted
+    support = Polyhedron(ambient, d, False, points=tuple(sorted(kept)),
+                         ineqs=tuple(drop(r) for r in lift.ineqs if r[d] == 0),
+                         eqs=tuple(map(drop, lift.eqs)))
     cells = []
-    for row in lift.ineqs:
-        a, b = row[:-1], row[-1]
-        if a[-1] <= 0:
+    for f, sel in lift._incidence:
+        if f[d] <= 0:
             continue  # only lower facets induce cells
-        members = tuple(i for i, q in enumerate(lifted) if dot(a, q) == b)
-        cell_pts = [points[i] for i in members]
-        cells.append((members, Polyhedron.from_generators(ambient, d, cell_pts)))
+        members = tuple(i for i, q in enumerate(lifted) if dot(f, q) == 0)
+        rows = ((drop(tuple(f[d] * x - h[d] * y for x, y in zip(h, f))), m & sel)
+                for h, m in lift._incidence)
+        facets, equations = from_incidence(d + 1, rows, sel, support._hom_rows[1])
+        verts = [primitive(drop(p)) for i, p in enumerate(lift.points) if sel >> i & 1]
+        cells.append((members, _poly_from_cone(ambient, d, verts, (), facets, equations)))
     cells.sort(key=lambda t: t[0])
     return Subdivision(ambient, d, tuple(cells), support)

@@ -8,6 +8,7 @@ suite both drive these.
 from fractions import Fraction
 from math import comb
 
+from ._vecops import primitive
 from .divisors import check_subdivision_structure, fansy_equal
 from .grassmann import (
     RootSystemA,
@@ -54,20 +55,24 @@ def check_two_routes(n, closed):
 
 
 def check_edge_endpoints(n, closed):
-    # `closed` is fansy_closed_form(n)
+    # `closed` is fansy_closed_form(n).  Endpoints are compared as primitive
+    # homogeneous rows (N, D), the form `Polyhedron.points` stores them in
     rs = RootSystemA(n)
+    seen = {}  # label -> the points of its coefficients, over all cells
+    for _, cell in closed.cells:
+        for label, poly in cell.terms:
+            seen.setdefault(label, set()).update(poly.points)
     for B in partitions(n):
         ell = rs.ell_sum(B.part)
-        hi = tuple(Fraction(B.b - 1, n - 2) * x for x in ell)
-        lo = tuple(Fraction(B.b + 1 - n, n - 2) * x for x in ell)
-        center = tuple(Fraction(2 * B.b - n, 2 * (n - 2)) * x for x in ell)
-        if tuple((a + b) / 2 for a, b in zip(hi, lo)) != center:
+        # numerators over n - 2 of hi and lo, and over 2(n - 2) of the center
+        hi = tuple((B.b - 1) * x for x in ell)
+        lo = tuple((B.b + 1 - n) * x for x in ell)
+        if tuple(a + b for a, b in zip(hi, lo)) != tuple((2 * B.b - n) * x for x in ell):
             return False, f"center formula fails at {B.part}"
-        seen = set()
-        for _, cell in closed.cells:
-            seen.update(cell.coefficient(B.label()).vertices)
-        if seen != {hi, lo}:
-            return False, f"edge endpoints at {B.part}: {sorted(seen)}"
+        got = seen.get(B.label(), set())
+        if got != {primitive(hi + (n - 2,)), primitive(lo + (n - 2,))}:
+            pts = sorted(tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in got)
+            return False, f"edge endpoints at {B.part}: {pts}"
     return True, "endpoints (b-1)/(n-2) and (b+1-n)/(n-2) times the part vector"
 
 

@@ -203,7 +203,9 @@ def test_verify_small_n_exit_2(capsys, n):
      "27b7744593a439414c77511676e49bfa65e4cf40fc304b8e095218893b664375"),
     (["ppdivisor", "--weights", None],
      "f2925f04a43471278d6a486a09cf83aba6485181ec78b50355cc3469892e5a56"),
-], ids=["fansy-5-both", "verify-5", "projectivize", "setup", "ppdivisor"])
+    (["subdivision", "--weights", None, "--c", "1"],
+     "83f1171e678b72e0deb956d718b6526195ad99a44fc634fb92cd7e48b4d8b7ae"),
+], ids=["fansy-5-both", "verify-5", "projectivize", "setup", "ppdivisor", "subdivision"])
 def test_stdout_golden_digest(capsys, weights_file, argv, digest):
     code, out, _ = run(capsys, *[weights_file if a is None else a for a in argv])
     assert code == 0

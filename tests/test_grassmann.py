@@ -12,6 +12,7 @@ from ppfan.grassmann import (
     compose_perms,
     fansy_closed_form,
     fansy_via_recipe,
+    fiber_tail,
     gr_setup,
     inversion_set,
     local_chart_report,
@@ -31,7 +32,7 @@ from ppfan.grassmann import (
     tail_fan,
 )
 from ppfan.lattice import check_retraction
-from ppfan.polyhedra import Cone, map_image
+from ppfan.polyhedra import Cone, Polyhedron, map_image
 
 
 # --- symmetric group -------------------------------------------------------
@@ -223,6 +224,24 @@ def test_positive_fibers(n):
         assert verts == {pair_vector(n, B.part), pair_vector(n, B.complement)}
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fiber_references_match_one_run_each(n):
+    # positive_fiber_part returns the fiber only when it equals its reference
+    # (a resumed step on fiber_tail), and partition_coefficient is built the
+    # same way: both equal from_generators on the segment's ends (retracted
+    # for the coefficient) and the tail's rays
+    setup = gr_setup(n)
+    rays = [setup.emb.apply(r) for r in sigma_cone(n).rays]
+    assert fiber_tail(n) == Polyhedron.from_generators(f"E({n})", len(rays[0]),
+                                                       [(0,) * len(rays[0])], rays)
+    for B in partitions(n):
+        ends = [pair_vector(n, B.part), pair_vector(n, B.complement)]
+        assert positive_fiber_part(n, B) == Polyhedron.from_generators(
+            f"E({n})", len(ends[0]), ends, rays)
+        assert partition_coefficient(n, B, check=False) == Polyhedron.from_generators(
+            f"Nt({n})", n, [setup.retraction.apply(v) for v in ends], sigma_cone(n).rays)
+
+
 def test_sigma_cube_n4():
     sig = sigma_cone(4)
     assert len(sig.rays) == 8
@@ -319,6 +338,53 @@ def test_routes_run_double_description_only_where_needed(monkeypatch):
     positive_fiber.cache_clear()
     fansy_via_recipe(5, verify=False)
     assert (len(fresh), len(resumed)) == (12, 60)
+
+
+def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
+    # check_induced_subdivisions: one run from scratch per lift (10 partitions,
+    # two height vectors each), the support and the cells read off it.
+    # check_positive_fibers: with the fibers and sigma_cone cached, each
+    # reference is one resumed step on fiber_tail, which itself runs no DD
+    import ppfan.dd as dd
+    from ppfan.chow import positive_fiber
+    from ppfan.verify import check_induced_subdivisions, check_positive_fibers
+
+    setup = gr_setup(5)
+    for B in partitions(5):
+        positive_fiber(setup.pi, partition_ray(5, B)[0])
+    sigma_cone(5)
+    fiber_tail.cache_clear()
+    fresh, resumed = [], []
+    real_process = dd.process
+
+    def counting(dim, constraints, start=None):
+        (fresh if start is None else resumed).append(dim)
+        return real_process(dim, constraints, start)
+
+    monkeypatch.setattr(dd, "process", counting)
+    assert check_induced_subdivisions(5)[0]
+    assert (len(fresh), len(resumed)) == (20, 0)
+    fresh.clear()
+    assert check_positive_fibers(5)[0]
+    assert (len(fresh), len(resumed)) == (0, 10)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_edge_endpoints_check_names_a_moved_endpoint(n):
+    # endpoints are compared as primitive homogeneous rows: from n = 6 on,
+    # some are not primitive as first written, e.g. (2 * ell, 4) at b = 3
+    from dataclasses import replace
+    from ppfan.verify import check_edge_endpoints
+
+    closed = fansy_closed_form(n)
+    assert check_edge_endpoints(n, closed)[0]
+    key, div = closed.cells[0]
+    (label, poly), *rest = div.terms
+    shift = (1,) + (0,) * (poly.dim_ambient - 1)
+    moved = replace(div, terms=((label, poly.translate(shift)), *rest))
+    passed, detail = check_edge_endpoints(n, replace(closed, cells=((key, moved),
+                                                                    *closed.cells[1:])))
+    assert not passed and detail.startswith("edge endpoints at ")
 
 
 def test_n5_balanced_edge():

@@ -1538,3 +1538,61 @@ def test_faces_tail_cones_facets_and_pp_divisors_run_no_kernel(monkeypatch):
     assert faces[1] == poly_V([(0, 0), (1, 0)])
     assert tails[0] == Cone.from_rays("Q", 2, [(0, 1)])
     assert len(facets) == 5 and div.tail == tails[0]
+
+
+# --- induced subdivisions read off the lift, against one run per cell -------
+#
+# ref_induced_subdivision is induced_subdivision as it was before the support
+# and the cells were read off the lift: each is its own from_generators run.
+
+
+def ref_induced_subdivision(ambient, points, heights):
+    if len(points) != len(heights):
+        raise ValueError("heights must be indexed by points")
+    d = len(points[0])
+    lifted = [tuple(p) + (F(h),) for p, h in zip(points, heights)]
+    up = tuple(0 for _ in range(d)) + (1,)
+    lift = Polyhedron.from_generators(f"{ambient}^", d + 1, lifted, rays=[up])
+    support = Polyhedron.from_generators(ambient, d, points)
+    cells = []
+    for row in lift.ineqs:
+        a, b = row[:-1], row[-1]
+        if a[-1] <= 0:
+            continue  # only lower facets induce cells
+        members = tuple(i for i, q in enumerate(lifted) if _dot(a, q) == b)
+        cell_pts = [points[i] for i in members]
+        cells.append((members, Polyhedron.from_generators(ambient, d, cell_pts)))
+    cells.sort(key=lambda t: t[0])
+    return Subdivision(ambient, d, tuple(cells), support)
+
+
+@st.composite
+def height_configurations(draw):
+    """(points, heights) in dimension 1 to 3 spanning an affine space of any
+    dimension up to 3 (all equal, collinear, coplanar), with repeated points,
+    and heights constant, integer or Fraction."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.tuples(*[_rats] * d))
+    dirs = draw(_vectors(_ints, d, max_size=d))
+    coeffs = st.tuples(*[st.one_of(_ints, _rats)] * len(dirs))
+    pts = draw(st.lists(coeffs, min_size=1, max_size=5))
+    points = [tuple(o + sum(c * v[i] for c, v in zip(cs, dirs)) for i, o in enumerate(base))
+              for cs in pts]
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    kind = draw(st.sampled_from(["constant", "int", "fraction"]))
+    if kind == "constant":
+        heights = [draw(_rats)] * len(points)
+    else:
+        heights = draw(st.lists(_ints if kind == "int" else _rats,
+                                min_size=len(points), max_size=len(points)))
+    return points, heights
+
+
+@settings(HYP, max_examples=300)
+@given(height_configurations())
+def test_induced_subdivision_matches_one_run_per_cell(case):
+    points, heights = case
+    got = induced_subdivision("Q", points, heights)
+    want = ref_induced_subdivision("Q", points, heights)
+    assert got.support == want.support
+    assert got.cells == want.cells
