@@ -3,15 +3,17 @@
 The pipeline: a weight matrix (columns = weights of the ambient coordinates)
 determines two exact sequences; the dual one fixes a projection `pi` of the
 coordinate exponent lattice onto the lattice where the Chow fan lives.  Each
-ray of that fan carries the fiber of `pi` over it intersected with the
-nonnegative orthant, shifted into the dual weight space either by an integral
-section of `pi` or by a rational retraction of the dual embedding.  Boundary
-faces of those coefficients, projected along the degree direction, assemble
-the divisor family of the projectivized variety.
+ray c of that fan carries the fiber of `pi` over it in the nonnegative
+orthant, carried into the dual weight space.  The dual embedding spans
+ker pi, so that fiber is x0 + emb(Y) with x0 = section(c), and the recipe
+computes Y = {y : emb.y + x0 >= 0} in the dual coordinates
+(`positive_fiber`), with no fiber in the exponent lattice and no image.
+Boundary faces of those coefficients, projected along the degree
+direction, assemble the divisor family of the projectivized variety.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._vecops import dot, scale_to_int
@@ -36,9 +38,7 @@ from .polyhedra import (
     Polyhedron,
     common_refinement_fan,
     face_minimizing,
-    fiber_polyhedron,
     map_image,
-    min_value,
 )
 
 
@@ -102,9 +102,25 @@ def _degree_solution(emb):
 
 
 @functools.lru_cache(maxsize=None)
-def positive_fiber(pi: LatticeMap, c) -> Polyhedron:
-    """pi^{-1}(c) ∩ nonnegative orthant (cached; the recipe reuses fibers a lot)."""
-    return fiber_polyhedron(pi, c)
+def positive_fiber(emb: LatticeMap, x0) -> Polyhedron:
+    """Y = {y : emb.y + x0 >= 0}, the positive fiber over c in ker pi coordinates (cached).
+
+    With emb spanning ker pi and x0 = section(c), pi^{-1}(c) = x0 + emb(Q^k)
+    by exactness, and emb is injective, so y -> x0 + emb.y maps Y onto
+    pi^{-1}(c) ∩ Q>=0^E one to one: a run in dimension k + 1, not dim E + 1.
+    """
+    return Polyhedron.from_halfspaces(emb.domain, emb.cols,
+                                      [(row, -x) for row, x in zip(emb.entries, x0)])
+
+
+def _zero_coords(emb, x0):
+    """The v with x_v = 0 somewhere on the fiber x0 + emb(Y): x_v = emb_v.y + x0_v
+    is >= 0 on Y, which is pointed, so least at a vertex, and v counts iff the
+    row (emb_v, x0_v) is tight on a point (N, D) of Y."""
+    *num, den = scale_to_int(tuple(x0) + (1,))
+    points = positive_fiber(emb, x0).points
+    return {v for v, (row, x) in enumerate(zip(emb.entries, num))
+            if any(den * dot(row, p[:-1]) + x * p[-1] == 0 for p in points)}
 
 
 @dataclass(frozen=True)
@@ -112,18 +128,13 @@ class RecipeDivisor:
     """A pp-divisor remembering which fan ray produced each term.
 
     `emb` is the embedding whose rows express the ambient coordinate forms on
-    the coefficient space; boundary-face computations need it and the rays.
+    the coefficient space; boundary faces read the fiber `positive_fiber(emb, x0)`.
     """
 
     divisor: PPDivisor
     rays: tuple      # of (Label, ray vector), aligned with divisor.terms
     emb: LatticeMap
-
-    def ray_of(self, label):
-        for l, c in self.rays:
-            if l == label:
-                return c
-        raise KeyError(label)
+    sections: tuple  # of x0 = section(ray), aligned with divisor.terms
 
 
 def _integer_ray(c):
@@ -138,12 +149,14 @@ def _integer_ray(c):
 
 def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, labels=None,
                     max_chambers=10000) -> RecipeDivisor:
-    """Coefficient per fan ray: the positive fiber shifted into the dual space.
+    """Coefficient per fan ray: the positive fiber carried into the dual space.
 
-    With `retraction` (a RationalMap splitting the embedding `emb` of the dual
-    lattice, in whatever coordinates the caller likes) the shift is implicit;
-    otherwise the integral section of the setup is used and coefficients come
-    out in the canonical dual coordinates.  Explicit `rays` restrict the
+    With `retraction` (a RationalMap r splitting the embedding `emb` of the
+    dual lattice, in whatever coordinates the caller likes) the coefficient
+    is r(fiber); otherwise it is r(fiber - x0) in the canonical dual
+    coordinates, x0 = section(c).  `emb` must span ker pi, so the fiber is
+    x0 + emb(Y), Y = `positive_fiber(emb, x0)`, and as r ∘ emb = id the
+    coefficient is Y + r(x0), or Y itself.  Explicit `rays` restrict the
     computation, e.g. to the rays known to meet a subvariety's quotient;
     without them the rays of the quotient fan `common_refinement_fan(pi)` are
     used, guarded by `max_chambers`.
@@ -168,25 +181,28 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
             raise ValueError("retraction does not split the dual embedding")
         if any(any(x != 0 for x in row) for row in mat_mul(pi.entries, emb.entries)):
             raise ValueError("dual embedding does not land in the kernel of pi")
+        if emb.cols != pi.cols - pi.rank():
+            raise ValueError("dual embedding does not span the kernel of pi")
     if labels is None:
         labels = [Label.ray(c, pi.codomain) for c in rays]
-    tail = _recipe_tail(setup, retr)
+    tail = _recipe_tail(retr, emb)
     terms = []
     aligned = []
     for label, c in zip(labels, rays):
-        fib = positive_fiber(pi, c)
-        if fib.empty:
+        x0 = setup.section.apply(c)
+        coeff = positive_fiber(emb, x0)
+        if coeff.empty:
             raise ValueError(f"empty fiber over ray {c}: ray misses the orthant image")
-        if retraction is None:
-            shift = tuple(-Fraction(x) for x in setup.section.apply(c))
-            fib = fib.translate(shift)
-        coeff = map_image(fib, retr)
+        if retraction is not None:
+            # + r(x0), as the homogeneous point (q r(x0), q)
+            coeff = replace(coeff, ambient=retr.codomain)._translate_hom(
+                mat_vec(retr.homogenised.rows, scale_to_int(tuple(x0) + (1,))))
         terms.append((label, coeff))
-        aligned.append((label, c))
+        aligned.append((label, c, x0))
     div = PPDivisor(retr.codomain, retr.rows, tail, tuple(terms))
     order = {l: i for i, (l, _) in enumerate(div.terms)}
     aligned.sort(key=lambda t: order[t[0]])
-    return RecipeDivisor(div, tuple(aligned), emb)
+    return RecipeDivisor(div, tuple(t[:2] for t in aligned), emb, tuple(t[2] for t in aligned))
 
 
 def _default_retraction(setup) -> RationalMap:
@@ -195,28 +211,20 @@ def _default_retraction(setup) -> RationalMap:
     return RationalMap(rational_left_inverse(dstar.entries), dstar.codomain, dstar.domain)
 
 
-def _recipe_tail(setup, retr) -> Cone:
-    d = setup.pi.cols
-    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    ker_orthant = Cone.from_ineqs(setup.pi.domain, d, unit, setup.pi.entries)
-    rays = [scale_to_int(mat_vec(retr.entries, r)) for r in ker_orthant.rays]
-    lin = [scale_to_int(mat_vec(retr.entries, l)) for l in ker_orthant.lineality]
-    return Cone.from_rays(retr.codomain, retr.rows, rays, lin)
+def _recipe_tail(retr, emb) -> Cone:
+    """r(ker pi ∩ Q>=0^E) = {y : emb.y >= 0}, since emb spans ker pi and r ∘ emb = id."""
+    return Cone.from_ineqs(retr.codomain, retr.rows, emb.entries)
 
 
 def boundary_face(setup: WeightSetup, recipe: RecipeDivisor, label, v) -> Polyhedron:
     """The v-th boundary face of the coefficient at `label`, possibly empty.
 
     Empty exactly when the v-th coordinate is bounded away from zero on the
-    fiber; otherwise the face of the coefficient minimising that coordinate
-    form.
+    fiber (`_zero_coords`); otherwise the face of the coefficient minimising
+    that coordinate form.
     """
     delta = recipe.divisor.coefficient(label)
-    c = recipe.ray_of(label)
-    fib = positive_fiber(setup.pi, c)
-    unit = tuple(1 if j == v else 0 for j in range(setup.pi.cols))
-    m = min_value(fib, unit)
-    if m > 0:
+    if v not in _zero_coords(recipe.emb, recipe.sections[recipe.divisor.labels().index(label)]):
         return Polyhedron.empty_in(delta.ambient, delta.dim_ambient)
     form = recipe.emb.entries[v]
     return face_minimizing(delta, form)
@@ -251,12 +259,8 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     hom_p = p.homogenised.rows
     tail_poly = recipe.divisor.tail.to_polyhedron()
     empty = Polyhedron.empty_in(p.codomain, p.rows)
-    # the v-th boundary face at a fiber is empty iff x_v > 0 on the whole
-    # fiber: it lies in the orthant, so its rays have x_v >= 0 and the least
-    # x_v is at a point (N, D), which has N_v >= 0; per fiber, the v with N_v = 0
-    zero_at = [{v for pt in positive_fiber(setup.pi, c).points for v, x in enumerate(pt[:-1])
-                if x == 0}
-               for _, c in recipe.rays]
+    # the v-th boundary face at a fiber is empty iff x_v > 0 on the whole fiber
+    zero_at = [_zero_coords(emb, x0) for x0 in recipe.sections]
     cells = []
     seen = set()
     for v in range(setup.pi.cols):

@@ -76,7 +76,7 @@ def cmd_setup(args):
         "pi": setup.pi.to_json(),
         "section": setup.section.to_json(),
         "dual_embedding": setup.dstar.to_json(),
-        "tail_cone": _recipe_tail(setup, _default_retraction(setup)).to_json(),
+        "tail_cone": _recipe_tail(_default_retraction(setup), setup.dstar).to_json(),
         "degree_element": list(setup.degree_element) if setup.degree_element else None,
         "image_saturated": setup.saturated,
     })

@@ -34,9 +34,10 @@ from .lattice import (
     hnf_rows,
     kernel_basis,
     mat_mul,
+    mat_vec,
     transpose,
 )
-from .polyhedra import Cone, Fan, Polyhedron, map_image
+from .polyhedra import Cone, Fan, Polyhedron
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +61,6 @@ def inversion_set(w):
     n = len(w)
     inv = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if w[i - 1] > w[j - 1]}
     return inv, len(inv)
-
-
-def compose_perms(w, v):
-    """w after v, one-line notation, 1-based."""
-    return tuple(w[v[i - 1] - 1] for i in range(1, len(w) + 1))
 
 
 def longest_coset_rep(k, n):
@@ -322,12 +318,8 @@ def sigma_cone(n) -> Cone:
 
 @functools.lru_cache(maxsize=None)
 def fiber_tail(n) -> Polyhedron:
-    """The common tail of the positive fibers: sigma_cone(n) embedded in E(n).
-
-    `emb` is injective, so `map_image` reads it off the cone's canonical data
-    without double description.
-    """
-    return map_image(sigma_cone(n).to_polyhedron(), gr_setup(n).emb)
+    """The fibers' common tail sigma_cone(n), as a polyhedron whose incidence is kept."""
+    return sigma_cone(n).to_polyhedron()
 
 
 def partition_ray(n, part):
@@ -347,15 +339,26 @@ def partition_ray(n, part):
     return c1, primitive(c1), g if g else 1
 
 
+def _retracted(setup, v):
+    """r(v) for the retraction r, as the homogeneous integer point (q r(v), q)."""
+    return mat_vec(setup.retraction.homogenised.rows, tuple(v) + (1,))
+
+
 def positive_fiber_part(n, part) -> Polyhedron:
-    """Fiber over the partition ray, asserted equal to segment + cone closed form."""
+    """The recipe's fiber Y over the partition ray, asserted equal to segment + cone.
+
+    The fiber is x0 + emb(Y), x0 = section(c).  In E(n) it is conv(v1, v2)
+    + emb(sigma_cone(n)), v_i the parts' pair indicators, and v_i - x0 lies
+    in ker pi = emb(Q^n), so it is emb(y_i) with y_i = r(v_i - x0) as
+    r ∘ emb = id: Y = conv(y1, y2) + sigma_cone(n), one resumed step.
+    """
     B = part if isinstance(part, Partition) else Partition(n, part)
     setup = gr_setup(n)
-    c, _, _ = partition_ray(n, B)
-    fib = positive_fiber(setup.pi, c)
+    x0 = setup.ws.section.apply(partition_ray(n, B)[0])
+    fib = positive_fiber(setup.emb, x0)
     v1, v2 = pair_vector(n, B.part), pair_vector(n, B.complement)
-    # the segment [v1, v2] plus the tail, by one resumed step at the vertex 0
-    closed = fiber_tail(n).with_vertex(tuple(y - x for x, y in zip(v1, v2))).translate(v1)
+    closed = (fiber_tail(n)._with_hom_vertex(_retracted(setup, (y - x for x, y in zip(v1, v2))))
+              ._translate_hom(_retracted(setup, (x - y for x, y in zip(v1, x0)))))
     if fib != closed:
         raise AssertionError(f"positive fiber of {B.part} is not segment + cone")
     return fib
@@ -366,7 +369,7 @@ def partition_coefficient(n, part, check=True) -> Polyhedron:
 
     One endpoint scales the part indicator, the other differs by half the
     indicator difference; the tail is the common cone.  Cross-checked against
-    the retracted fiber.
+    the retracted fiber r(x0 + emb(Y)) = Y + r(x0).
     """
     B = part if isinstance(part, Partition) else Partition(n, part)
     setup = gr_setup(n)
@@ -378,20 +381,12 @@ def partition_coefficient(n, part, check=True) -> Polyhedron:
     in_comp = set(B.complement)
     v2 = tuple(x + half * ((1 if i in in_comp else 0) - (1 if i in B.part else 0))
                for i, x in zip(range(1, n + 1), v1))
-    closed = sigma_cone(n).to_polyhedron().with_vertex(
-        tuple(y - x for x, y in zip(v1, v2))).translate(v1)
+    closed = fiber_tail(n).with_vertex(tuple(y - x for x, y in zip(v1, v2))).translate(v1)
     if check:
-        fib = positive_fiber_part(n, B)
-        if map_image(fib, setup.retraction) != closed:
+        x0 = setup.ws.section.apply(partition_ray(n, B)[0])
+        if positive_fiber_part(n, B)._translate_hom(_retracted(setup, x0)) != closed:
             raise AssertionError(f"retracted fiber of {B.part} does not match the closed form")
     return closed
-
-
-def retraction_of_part(n, part):
-    """t applied to the pair indicator: head * indicator - trace * ones."""
-    B = part if isinstance(part, Partition) else Partition(n, part)
-    setup = gr_setup(n)
-    return setup.retraction.apply(pair_vector(n, B.part))
 
 
 # ---------------------------------------------------------------------------

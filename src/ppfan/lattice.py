@@ -261,9 +261,6 @@ class LatticeMap:
             raise ValueError(f"cannot compose: {other.codomain!r} != {self.domain!r}")
         return LatticeMap(mat_mul(self.entries, other.entries), other.domain, self.codomain)
 
-    def transposed(self):
-        return LatticeMap(transpose(self.entries), f"{self.codomain}*", f"{self.domain}*")
-
     def rank(self):
         return matrix_rank(self.entries)
 

@@ -156,6 +156,9 @@ def check_algebraic_identities(n):
     setup = gr_setup(n)
     if not check_retraction(setup.retraction, setup.emb):
         return False, "retraction does not split the embedding"
+    # the recipe's fibers are x0 + emb(Y) only if emb spans ker pi
+    if setup.emb.cols != setup.pi.cols - setup.pi.rank():
+        return False, "embedding does not span the kernel of pi"
     for B in partitions(n):
         lhs = setup.emb.apply(tuple(
             (1 if i in B.part else 0) - (1 if i in B.complement else 0)

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ppfan._vecops import scale_to_int
 from ppfan.chow import (
+    _default_retraction,
     _degree_solution,
+    _zero_coords,
     boundary_face,
     build_setup,
     positive_fiber,
@@ -13,8 +17,16 @@ from ppfan.chow import (
     projectivize,
 )
 from ppfan.divisors import Label, check_subdivision_structure, translate_coefficient
-from ppfan.lattice import LatticeMap, identity_matrix, mat_mul, mat_vec, quotient_projection
-from ppfan.polyhedra import Polyhedron, map_image
+from ppfan.lattice import (
+    LatticeMap,
+    RationalMap,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    quotient_projection,
+    rational_left_inverse,
+)
+from ppfan.polyhedra import Polyhedron, fiber_polyhedron, map_image, min_value
 
 
 def weighted_line_setup(a, b, A, B):
@@ -235,9 +247,86 @@ def test_ray_missing_orthant_image_rejected():
 
 def test_fibers_are_cached():
     setup = weighted_line_setup(2, 1, 1, 1)
-    f1 = positive_fiber(setup.pi, (1,))
-    f2 = positive_fiber(setup.pi, (1,))
+    x0 = setup.section.apply((1,))
+    f1 = positive_fiber(setup.dstar, x0)
+    f2 = positive_fiber(setup.dstar, x0)
     assert f1 is f2
+
+
+def _dual_of_three_weights():
+    setup = weighted_line_setup(2, 1, 1, 1)
+    return setup, setup.dstar, None
+
+
+def _dual_of_gr4():
+    from ppfan.grassmann import gr_setup, partition_ray, partitions
+
+    setup = gr_setup(4)
+    return setup.ws, setup.emb, [partition_ray(4, B)[0] for B in partitions(4)]
+
+
+@pytest.mark.parametrize("make,k", [(_dual_of_three_weights, 1), (_dual_of_gr4, 2)],
+                         ids=["three-weights", "gr4"])
+def test_recipe_refuses_embedding_short_of_ker_pi(make, k):
+    # the first k columns of a dual embedding (of rank 2, and 4 for Gr(2,4))
+    # lie in ker pi and are split by their left inverse, but do not span it
+    setup, emb, rays = make()
+    short = LatticeMap(tuple(r[:k] for r in emb.entries), "D", "E")
+    retr = RationalMap(rational_left_inverse(short.entries), setup.pi.domain, "D")
+    with pytest.raises(ValueError, match="does not span the kernel of pi"):
+        pp_from_weights(setup, rays=rays, retraction=retr, emb=short)
+
+
+def old_zero_coords(fib):
+    """The v whose boundary face is nonempty, read off the fiber in E: min x_v = 0."""
+    d = fib.dim_ambient
+    return {v for v in range(d)
+            if min_value(fib, tuple(int(j == v) for j in range(d))) == 0}
+
+
+@st.composite
+def weight_setups(draw):
+    # like _random_projective_setup: small weights over a positive second row
+    # (1s for projective setups, sometimes 2s for an overlattice), full rank
+    cols = draw(st.integers(3, 5))
+    top = tuple(draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)))
+    second = tuple(draw(st.lists(st.integers(1, 2), min_size=cols, max_size=cols)))
+    deg = LatticeMap((top, second), "E", "M")
+    assume(deg.rank() == 2)
+    return build_setup(deg)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(weight_setups())
+def test_recipe_coefficients_are_shifted_and_retracted_fibers(setup):
+    # the fiber in ker pi coordinates, Y, equals the old body: the fiber in E
+    # shifted by -section(c) and mapped by the default retraction; the zero
+    # sets equal those read off the fiber in E
+    recipe = pp_from_weights(setup)
+    retr = _default_retraction(setup)
+    for (label, c), x0, (_, coeff) in zip(recipe.rays, recipe.sections, recipe.divisor.terms):
+        assert x0 == setup.section.apply(c)
+        fib = fiber_polyhedron(setup.pi, c)
+        assert coeff == map_image(fib.translate(tuple(-F(x) for x in x0)), retr)
+        zero = old_zero_coords(fib)
+        assert _zero_coords(recipe.emb, x0) == zero
+        for v in range(setup.pi.cols):
+            assert boundary_face(setup, recipe, label, v).empty == (v not in zero)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_grassmann_recipe_coefficients_are_retracted_fibers(n):
+    # with the explicit retraction r: Y + r(x0) against the old body, r of
+    # the fiber in E, and the zero sets against those read off that fiber
+    from ppfan.grassmann import gr_setup, recipe_divisor
+
+    setup = gr_setup(n)
+    recipe = recipe_divisor(n)
+    for (label, c), x0, (_, coeff) in zip(recipe.rays, recipe.sections, recipe.divisor.terms):
+        fib = fiber_polyhedron(setup.pi, c)
+        assert coeff == map_image(fib, setup.retraction)
+        assert _zero_coords(recipe.emb, x0) == old_zero_coords(fib)
 
 
 @pytest.mark.parametrize("rays", [[(1.7,), (-1,)], [(F(1, 2),), (-1,)], [(True,), (-1,)]],

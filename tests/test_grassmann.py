@@ -9,7 +9,6 @@ from ppfan.divisors import check_subdivision_structure, fansy_equal
 from ppfan.grassmann import (
     Partition,
     RootSystemA,
-    compose_perms,
     fansy_closed_form,
     fansy_via_recipe,
     fiber_tail,
@@ -25,7 +24,6 @@ from ppfan.grassmann import (
     plucker_degree_map,
     positive_fiber_part,
     recipe_divisor,
-    retraction_of_part,
     shuffles,
     sigma_cone,
     tail_cone_chart,
@@ -61,10 +59,10 @@ def test_longest_coset_rep(k, n, expect):
     w = longest_coset_rep(k, n)
     assert w == expect
     assert inversion_set(w)[1] == k * (n - k)
-    # equals the product of the two longest elements
+    # equals the product w0 after w0_I of the two longest elements
     w0 = tuple(range(n, 0, -1))
     w0i = tuple(range(k, 0, -1)) + tuple(range(n, k, -1))
-    assert w == compose_perms(w0, w0i)
+    assert w == tuple(w0[w0i[i] - 1] for i in range(n))
     assert w in shuffles(k, n)
 
 
@@ -216,11 +214,19 @@ def test_partition_rays_in_refinement_fan():
 
 # --- fibers and coefficients ------------------------------------------------
 
+def fiber_in_E(n, B):
+    """The positive fiber in E(n), x0 + emb(Y), from the recipe's Y in ker pi coordinates."""
+    setup = gr_setup(n)
+    x0 = setup.ws.section.apply(partition_ray(n, B)[0])
+    return map_image(positive_fiber_part(n, B), setup.emb).translate(x0)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_positive_fibers(n):
     for B in partitions(n):
-        fib = positive_fiber_part(n, B)
+        fib = fiber_in_E(n, B)
         verts = {tuple(int(x) for x in v) for v in fib.vertices}
+        assert all(x.denominator == 1 for v in fib.vertices for x in v)
         assert verts == {pair_vector(n, B.part), pair_vector(n, B.complement)}
 
 
@@ -228,15 +234,15 @@ def test_positive_fibers(n):
 def test_fiber_references_match_one_run_each(n):
     # positive_fiber_part returns the fiber only when it equals its reference
     # (a resumed step on fiber_tail), and partition_coefficient is built the
-    # same way: both equal from_generators on the segment's ends (retracted
-    # for the coefficient) and the tail's rays
+    # same way: in E(n) the fiber equals from_generators on the segment's
+    # ends and the tail's rays, and the coefficient the same, retracted
     setup = gr_setup(n)
+    assert fiber_tail(n) == Polyhedron.from_generators(f"Nt({n})", n, [(0,) * n],
+                                                       sigma_cone(n).rays)
     rays = [setup.emb.apply(r) for r in sigma_cone(n).rays]
-    assert fiber_tail(n) == Polyhedron.from_generators(f"E({n})", len(rays[0]),
-                                                       [(0,) * len(rays[0])], rays)
     for B in partitions(n):
         ends = [pair_vector(n, B.part), pair_vector(n, B.complement)]
-        assert positive_fiber_part(n, B) == Polyhedron.from_generators(
+        assert fiber_in_E(n, B) == Polyhedron.from_generators(
             f"E({n})", len(ends[0]), ends, rays)
         assert partition_coefficient(n, B, check=False) == Polyhedron.from_generators(
             f"Nt({n})", n, [setup.retraction.apply(v) for v in ends], sigma_cone(n).rays)
@@ -261,8 +267,9 @@ def test_partition_coefficient_n4():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_retraction_endpoint_formula(n):
+    # the retraction applied to the pair indicator: head * indicator - trace * ones
     for B in partitions(n):
-        got = retraction_of_part(n, B)
+        got = gr_setup(n).retraction.apply(pair_vector(n, B.part))
         head = F(B.b - 1, n - 2)
         trace = F((B.b - 1) * B.b, 2 * (n - 2) * (n - 1))
         want = tuple(head * (1 if i in B.part else 0) - trace for i in range(1, n + 1))
@@ -312,7 +319,8 @@ def test_routes_run_double_description_only_where_needed(monkeypatch):
     # closed form: one run from scratch per tail cone (10) and one resumed
     # one-constraint step per segment coefficient (60, `with_vertex`);
     # one-vertex coefficients are translates of the tail.  Recipe: one run
-    # per fiber (10) and two for the tail, and one step per projected
+    # per fiber in the coordinates of ker pi (10, dimension n + 1 = 6) and
+    # one for the tail (dimension n = 5), and one step per projected
     # boundary face with two minimising vertices (60); every image is read
     # off canonical data.  The fiber cache is cleared so that the count is
     # the cold one.
@@ -337,21 +345,23 @@ def test_routes_run_double_description_only_where_needed(monkeypatch):
     resumed.clear()
     positive_fiber.cache_clear()
     fansy_via_recipe(5, verify=False)
-    assert (len(fresh), len(resumed)) == (12, 60)
+    assert (len(fresh), len(resumed)) == (11, 60)
+    assert sorted(fresh) == [5] + [6] * 10
 
 
 def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
     # check_induced_subdivisions: one run from scratch per lift (10 partitions,
     # two height vectors each), the support and the cells read off it.
-    # check_positive_fibers: with the fibers and sigma_cone cached, each
-    # reference is one resumed step on fiber_tail, which itself runs no DD
+    # check_positive_fibers: with the fibers (the recipe's, in ker pi
+    # coordinates) and sigma_cone cached, each reference is one resumed step
+    # on fiber_tail, which itself runs no DD
     import ppfan.dd as dd
     from ppfan.chow import positive_fiber
     from ppfan.verify import check_induced_subdivisions, check_positive_fibers
 
     setup = gr_setup(5)
     for B in partitions(5):
-        positive_fiber(setup.pi, partition_ray(5, B)[0])
+        positive_fiber(setup.emb, setup.ws.section.apply(partition_ray(5, B)[0]))
     sigma_cone(5)
     fiber_tail.cache_clear()
     fresh, resumed = [], []

@@ -78,7 +78,7 @@ def test_kernel_of_row_map():
 
 def test_kernel_of_injective_map():
     m = LatticeMap(((1, 0), (0, 1), (1, 1)), "A", "B")
-    k = kernel_basis(m.transposed())
+    k = kernel_basis(LatticeMap(transpose(m.entries), "B*", "A*"))
     assert k.cols == 1
     m2 = LatticeMap(((1,), (2,)), "A", "B")
     assert kernel_basis(m2).cols == 0
