@@ -21,7 +21,7 @@ def primitive(v):
     g = gcd(*v)
     if g in (0, 1):
         return tuple(v)
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def neg(v):

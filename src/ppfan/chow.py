@@ -241,8 +241,7 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     holds it to the divisor's tail), so its face minimising the v-th form u
     is conv(W) + face_u(tail), W the vertices of V minimising u, and
     p(A + B) = p(A) + p(B).  The term is the tail face's image, computed
-    once per coordinate, extended by p(w) - p(w1) for each further w in W
-    (`Polyhedron.with_vertex`) and translated by p(w1).
+    once per coordinate, plus conv(p(W)) (`Polyhedron._plus_hull`).
     """
     emb = recipe.emb
     if setup.degree_element is None:
@@ -272,12 +271,8 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
                 terms.append((label, empty))
                 continue
             # images (a, b) of the minimising vertices, the point a/b each
-            (*a1, b1), *rest = (mat_vec(hom_p, g) for g in _minimizers(delta, form))
-            term = timg
-            for *a, b in rest:
-                term = term._with_hom_vertex(tuple(b1 * x - b * y for x, y in zip(a, a1))
-                                             + (b * b1,))
-            terms.append((label, term._translate_hom((*a1, b1))))
+            terms.append((label, timg._plus_hull([mat_vec(hom_p, g)
+                                                  for g in _minimizers(delta, form)])))
         div = PPDivisor(p.codomain, p.rows, timg.tail_cone(), tuple(terms))
         if div in seen:
             continue

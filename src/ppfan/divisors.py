@@ -189,7 +189,12 @@ class FansyDivisor:
         raise KeyError(key)
 
     def subdivision_for(self, label) -> Subdivision:
-        cells = tuple((k, d.coefficient(label)) for k, d in self.cells)
+        # every cell carries the sorted global labels, so the label's term is at one position
+        try:
+            i = self.labels.index(label)
+        except ValueError:
+            raise KeyError(label) from None
+        cells = tuple((k, d.terms[i][1]) for k, d in self.cells)
         return Subdivision(self.ambient, self.dim_ambient, cells)
 
     def tail_fan(self) -> Fan:
@@ -352,8 +357,8 @@ def _find_separating_form(dmu, dnu):
 def fansy_equal(f1: FansyDivisor, f2: FansyDivisor):
     """Geometric equality of two fansy divisors, up to renaming the cells.
 
-    Matches cells by exact equality of all their coefficients; returns
-    (True, bijection dict) or (False, reason).
+    Matches cells by exact equality of their terms, which carry the same
+    sorted labels; returns (True, bijection dict) or (False, reason).
     """
     if f1.ambient != f2.ambient:
         return False, f"ambient lattices differ: {f1.ambient!r} vs {f2.ambient!r}"
@@ -361,11 +366,13 @@ def fansy_equal(f1: FansyDivisor, f2: FansyDivisor):
         return False, "label sets differ"
     if len(f1.cells) != len(f2.cells):
         return False, f"cell counts differ: {len(f1.cells)} vs {len(f2.cells)}"
+    by_terms = {}
+    for k2, d2 in f2.cells:
+        by_terms.setdefault(d2.terms, []).append(k2)
     matching = {}
     used = set()
     for k1, d1 in f1.cells:
-        hits = [k2 for k2, d2 in f2.cells
-                if all(d1.coefficient(l) == d2.coefficient(l) for l in f1.labels)]
+        hits = by_terms.get(d1.terms, [])
         if len(hits) != 1:
             return False, f"cell {k1!r} matches {len(hits)} cells on the other side"
         if hits[0] in used:

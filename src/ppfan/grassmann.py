@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._vecops import primitive
+from ._vecops import primitive, scale_to_int
 from .chow import (
     build_setup,
     positive_fiber,
@@ -357,8 +357,8 @@ def positive_fiber_part(n, part) -> Polyhedron:
     x0 = setup.ws.section.apply(partition_ray(n, B)[0])
     fib = positive_fiber(setup.emb, x0)
     v1, v2 = pair_vector(n, B.part), pair_vector(n, B.complement)
-    closed = (fiber_tail(n)._with_hom_vertex(_retracted(setup, (y - x for x, y in zip(v1, v2))))
-              ._translate_hom(_retracted(setup, (x - y for x, y in zip(v1, x0)))))
+    closed = fiber_tail(n)._plus_hull([_retracted(setup, (x - y for x, y in zip(v, x0)))
+                                       for v in (v1, v2)])
     if fib != closed:
         raise AssertionError(f"positive fiber of {B.part} is not segment + cone")
     return fib
@@ -381,7 +381,7 @@ def partition_coefficient(n, part, check=True) -> Polyhedron:
     in_comp = set(B.complement)
     v2 = tuple(x + half * ((1 if i in in_comp else 0) - (1 if i in B.part else 0))
                for i, x in zip(range(1, n + 1), v1))
-    closed = fiber_tail(n).with_vertex(tuple(y - x for x, y in zip(v1, v2))).translate(v1)
+    closed = fiber_tail(n)._plus_hull([scale_to_int(v + (1,)) for v in (v1, v2)])
     if check:
         x0 = setup.ws.section.apply(partition_ray(n, B)[0])
         if positive_fiber_part(n, B)._translate_hom(_retracted(setup, x0)) != closed:
@@ -404,30 +404,22 @@ def fansy_closed_form(n) -> FansyDivisor:
     if n < 4:
         raise ValueError("need n >= 4")
     rs = RootSystemA(n)
-    parts = partitions(n)
-    labels = [B.label() for B in parts]
-    fan = tail_fan(2, n)
+    ends = []
+    for B in partitions(n):
+        # the endpoints (b-1)/(n-2) and (b+1-n)/(n-2) times the part vector,
+        # in homogeneous integer coordinates
+        ell = rs.ell_sum(B.part)
+        high = tuple((B.b - 1) * x for x in ell) + (n - 2,)
+        low = tuple((B.b + 1 - n) * x for x in ell) + (n - 2,)
+        ends.append((B.label(), set(B.part), ([high], [low, high], [low])))
     cells = []
-    for K, tau in fan.maximal:
+    for K, tau in tail_fan(2, n).maximal:
         tail = tau.to_polyhedron()
-        terms = []
-        for B in parts:
-            # the endpoints (b-1)/(n-2) and (b+1-n)/(n-2) times the part
-            # vector, in homogeneous integer coordinates; high - low = ell
-            ell = rs.ell_sum(B.part)
-            high = tuple((B.b - 1) * x for x in ell) + (n - 2,)
-            low = tuple((B.b + 1 - n) * x for x in ell) + (n - 2,)
-            meets_part = len(set(K) & set(B.part))
-            if meets_part == 0:
-                poly = tail._translate_hom(high)
-            elif meets_part == 2:
-                poly = tail._translate_hom(low)
-            else:
-                # extend at the vertex 0 and translate last: `tail` keeps one incidence
-                poly = tail.with_vertex(ell)._translate_hom(low)
-            terms.append((B.label(), poly))
-        cells.append((K, PPDivisor(rs.ambient, rs.dim, tau, tuple(terms))))
-    return FansyDivisor(rs.ambient, rs.dim, tuple(labels), tuple(cells))
+        # `tail` keeps one incidence for all the segments
+        terms = tuple((label, tail._plus_hull(by_meet[len(set(K) & part)]))
+                      for label, part, by_meet in ends)
+        cells.append((K, PPDivisor(rs.ambient, rs.dim, tau, terms)))
+    return FansyDivisor(rs.ambient, rs.dim, tuple(l for l, _, _ in ends), tuple(cells))
 
 
 def fansy_via_recipe(n, max_n=9, verify=True) -> FansyDivisor:

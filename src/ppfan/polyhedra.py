@@ -27,7 +27,8 @@ affine hull (`linear_image`) need no run either: they carry the canonical
 data over, the last one through the map's `lattice.Homogenised` data.  Nor
 does the convex hull with one more vertex (`Polyhedron.with_vertex`): it is
 one step of the kernel resumed from the cached incidence, the polar cone's
-minimal system, instead of a run from the whole space.
+minimal system, instead of a run from the whole space.  A cone plus the hull
+of points (`Polyhedron._plus_hull`) is such steps and one translate.
 Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
@@ -354,40 +355,92 @@ class Polyhedron:
         masks).  Adding the constraint hom(v) >= 0 to the polar gives the
         polar of the cone over conv(self ∪ {v}) (Fukuda & Prodon, *Double
         description method revisited*).  Its lineality is the new equations
-        (one fewer when v is off the affine hull), its rays reduced modulo
-        them are the facets, and a generator is extreme exactly when the set
-        of facets it lies on, read off the final tight masks, is
-        inclusion-maximal: a non-extreme one lies on fewer facets than the
-        extreme rays of its minimal face.  The lineality is unchanged, since
-        the point hom(v) has x0 = 1 and adds none.  Raises on an empty self.
+        (one fewer when v is off the affine hull), and its rays reduced modulo
+        them are the facets.  The recession cone, the face x0 = 0, does not
+        change, so the rays and lineality stay as they are and stay extreme;
+        a vertex is extreme exactly when every generator on all the facets
+        through it is a copy of it, as the extreme rays of a larger minimal
+        face lie on more facets.  Raises on an empty self.
         """
         _check_lengths(self.dim_ambient, [v], "vertex")
         if self.empty:
             raise ValueError("empty polyhedron has no generators to extend")
-        return self._with_hom_vertex(scale_to_int(tuple(v) + (1,)))
+        return self._moved(*self._hull_step([self._reduced(scale_to_int(tuple(v) + (1,)))]))
 
-    def _with_hom_vertex(self, hv):
-        """`with_vertex` of the point with homogeneous integer coordinates hv (x0 > 0)."""
+    def _plus_hull(self, hom_points):
+        """self + conv(points), for a self whose one vertex is 0: a cone, or its face or image.
+
+        The points are homogeneous integer rows (N, D), D > 0, in any positive
+        multiple.  With p the first, self + conv(points) = conv(self ∪ {q - p})
+        + p over the further points q: one `with_vertex` step per q, each
+        resumed from the last, then one move by p, with no polyhedron between.
+        """
+        if self.points != ((0,) * self.dim_ambient + (1,),):
+            raise ValueError("the hull is added only to a polyhedron whose one vertex is 0")
+        (*a1, b1), *rest = (self._reduced(p) for p in hom_points)
+        # q - p as the homogeneous point (b1 a - b a1, b b1)
+        steps = [primitive([b1 * x - b * y for x, y in zip(a, a1)] + [b * b1]) for *a, b in rest]
+        return self._moved(*self._hull_step(steps), (*a1, b1))
+
+    def _reduced(self, hv):
+        """The homogeneous point hv, primitive and reduced modulo the lineality."""
+        lin = self._hom_gens[2]
+        return reduce_mod_rows(hv, lin) if lin else primitive(hv)
+
+    def _hull_step(self, hom_points):
+        """Points and stored rows of conv(self ∪ points) (`with_vertex`); points `_reduced`."""
+        if not hom_points:
+            return self.points, self.ineqs, self.eqs
         dim = self.dim_ambient + 1
-        verts, rays, lin = self._hom_gens
-        hv = reduce_mod_rows(hv, lin)
+        verts, rays, _ = self._hom_gens
         *facets, (x0_row, x0_mask) = self._incidence
-        start_rays = [a for a, _ in facets]
-        start_z = [m for _, m in facets]
-        if all(x0_mask & m != x0_mask for m in start_z):
-            start_rays.append(x0_row)
-            start_z.append(x0_mask)
-        n = len(verts) + len(rays)
-        out, out_lin, zsets = dd.process(dim, [(hv, False)],
-                                         (start_rays, start_z, self._hom_rows[1], n))
-        equations = rref_primitive(out_lin, dim)
-        gens = verts + rays + (hv,)
-        # per generator, the facets it lies on
-        on = [sum(1 << j for j, z in enumerate(zsets) if z >> i & 1) for i in range(n + 1)]
-        kept = [g for g, m in zip(gens, on) if not any(m != o and m & o == m for o in on)]
-        # dict.fromkeys: v may be one of the vertices already
-        return _poly_from_cone(self.ambient, self.dim_ambient, list(dict.fromkeys(kept)), lin,
-                               [reduce_mod_rows(a, equations) for a in out], equations)
+        out = [a for a, _ in facets]
+        zsets = [m for _, m in facets]
+        if all(x0_mask & m != x0_mask for m in zsets):
+            out.append(x0_row)
+            zsets.append(x0_mask)
+        eqs = lin = self._hom_rows[1]
+        nbit = len(verts) + len(rays)
+        for p in hom_points:
+            out, lin, zsets = dd.process(dim, [(p, False)], (out, zsets, lin, nbit))
+            nbit += 1
+        if len(lin) < len(eqs):
+            # the hull grew: fewer equations, and the rows to reduce modulo them
+            eqs = rref_primitive(lin, dim)
+            out = [reduce_mod_rows(a, eqs) for a in out]
+        # the vertex generators by bit: self's vertices, then the points after the rays
+        vbits = [*enumerate(verts), *enumerate(hom_points, len(verts) + len(rays))]
+        kept = []
+        for i, g in vbits:
+            common = (1 << nbit) - 1  # the generators on every facet through g
+            for z in zsets:
+                if z >> i & 1:
+                    common &= z
+            if not common & ~sum(1 << j for j, h in vbits if h == g):
+                kept.append(g)
+        # dict.fromkeys: a point may repeat a vertex
+        return (list(dict.fromkeys(kept)), [a[:-1] + (-a[-1],) for a in out if any(a[:-1])],
+                [e[:-1] + (-e[-1],) for e in eqs if any(e[:-1])])
+
+    def _moved(self, points, ineqs, eqs, hv=None):
+        """The polyhedron with self's rays and lineality and these points and stored rows.
+
+        With hv = (num, den), a `_reduced` point, they are moved by num/den
+        first: a point (N, D) to (N*den + D*num, D*den) and a row a.x >= b (or
+        == b) to (den*a, den*b + a.num), made primitive when den > 1; for
+        den = 1 adding D*num to N, or a.num to b, keeps the gcd 1.  Points
+        and facet rows are sorted once, here.
+        """
+        if hv is not None:
+            *num, den = hv
+            fix = tuple if den == 1 else primitive
+            points = [fix([den * x + p[-1] * y for x, y in zip(p, num)] + [den * p[-1]])
+                      for p in points]
+            ineqs, eqs = ([fix([den * x for x in r[:-1]] + [den * r[-1] + dot(r, num)])
+                           for r in rows] for rows in (ineqs, eqs))
+        return Polyhedron(self.ambient, self.dim_ambient, False, points=tuple(sorted(points)),
+                          rays=self.rays, lineality=self.lineality,
+                          ineqs=tuple(sorted(ineqs)), eqs=tuple(eqs))
 
     def contains(self, x):
         _check_lengths(self.dim_ambient, [x], "point")
@@ -412,30 +465,8 @@ class Polyhedron:
         return self._translate_hom(scale_to_int(tuple(v) + (1,)))
 
     def _translate_hom(self, hv):
-        """`translate` by the point with homogeneous integer coordinates hv (x0 > 0).
-
-        Each point (N, D) becomes (N*den + D*num, D*den), made primitive, and
-        the points are sorted again: int-tuple order is not translation-invariant.
-        """
-        # hv = (num, den) with den > 0, reduced modulo the lineality rows (l, 0)
-        *num, den = reduce_mod_rows(hv, [l + (0,) for l in self.lineality])
-
-        def shift(row):
-            a, b = row[:-1], row[-1]
-            return primitive(tuple(den * x for x in a) + (den * b + dot(a, num),))
-
-        def move(p):
-            d = p[-1]
-            return primitive(tuple(den * x + d * y for x, y in zip(p, num)) + (den * d,))
-
-        return Polyhedron(
-            self.ambient, self.dim_ambient, False,
-            points=tuple(sorted(move(p) for p in self.points)),
-            rays=self.rays,
-            lineality=self.lineality,
-            ineqs=tuple(sorted(shift(a) for a in self.ineqs)),
-            eqs=tuple(shift(e) for e in self.eqs),
-        )
+        """`translate` by the point with homogeneous integer coordinates hv (x0 > 0)."""
+        return self._moved(self.points, self.ineqs, self.eqs, self._reduced(hv))
 
     def relative_interior_point(self):
         """The mean of the vertices plus the sum of the rays, as Fractions."""
@@ -519,8 +550,8 @@ def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
             tails.append(r[:-1])
     if not verts:
         return Polyhedron.empty_in(ambient, dim_ambient)
-    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in facets if not is_zero(r[:-1])))
-    eqs = tuple(r[:-1] + (-r[-1],) for r in equations if not is_zero(r[:-1]))
+    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in facets if any(r[:-1])))
+    eqs = tuple(r[:-1] + (-r[-1],) for r in equations if any(r[:-1]))
     return Polyhedron(
         ambient, dim_ambient, False,
         points=tuple(sorted(verts)),
@@ -726,9 +757,6 @@ class Fan:
         """The label pairs, in order, whose cones do not meet in a common face of both."""
         return [(k, l) for (k, c), (l, d) in combinations(self.maximal, 2)
                 if not c.common_face_with(d)]
-
-    def is_fan(self):
-        return not self.bad_pairs()
 
     def is_complete(self):
         """The cones form a complete fan, by the facet-matching certificate `_tiles`."""

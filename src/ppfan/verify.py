@@ -44,10 +44,11 @@ def check_two_routes(n, closed):
     if len(closed.labels) != want_labels:
         return False, f"{len(closed.labels)} labels, expected {want_labels}"
     want_cells = comb(n, 2)
-    for label in closed.labels:
-        cells = [p for _, p in closed.subdivision_for(label).cells if not p.empty]
-        if len(cells) != want_cells:
-            return False, f"{len(cells)} maximal cells at {label}, expected {want_cells}"
+    # every cell carries the sorted labels, so its i-th term is at labels[i]
+    for i, label in enumerate(closed.labels):
+        cells = sum(not d.terms[i][1].empty for _, d in closed.cells)
+        if cells != want_cells:
+            return False, f"{cells} maximal cells at {label}, expected {want_cells}"
     rep = check_subdivision_structure(closed)
     if not rep.passed:
         return False, "; ".join(rep.findings[:3])

@@ -317,7 +317,7 @@ def test_two_routes_agree(n):
 
 def test_routes_run_double_description_only_where_needed(monkeypatch):
     # closed form: one run from scratch per tail cone (10) and one resumed
-    # one-constraint step per segment coefficient (60, `with_vertex`);
+    # one-constraint step per segment coefficient (60, `_plus_hull`);
     # one-vertex coefficients are translates of the tail.  Recipe: one run
     # per fiber in the coordinates of ker pi (10, dimension n + 1 = 6) and
     # one for the tail (dimension n = 5), and one step per projected

@@ -359,7 +359,7 @@ def check_chamber_fan(pi, fan, xs):
     images = [Cone.from_rays(name, r, [cols[j] for j in range(pi.cols) if mask >> j & 1])
               for mask in range(1 << pi.cols)]
     cones = fan.cones()
-    assert fan.is_fan()
+    assert fan.bad_pairs() == []
     assert all(c.dim == r for c in cones)
     for x in xs:
         hits = [c for c in cones if c.contains(x)]
@@ -385,7 +385,7 @@ def test_refinement_identity_quadrants():
     assert len(fan.maximal) == 1
     assert fan.rays() == ((0, 1), (1, 0))
     assert fan.labels() == [((0, 1),)]
-    assert fan.is_fan()
+    assert fan.bad_pairs() == []
 
 
 def test_refinement_row_map():
@@ -801,6 +801,65 @@ def test_with_vertex_matches_rebuild(case):
     assert repr(got) == repr(want)
     if absorbed is not None:
         assert absorbed not in got.vertices
+
+
+@st.composite
+def cone_hulls(draw):
+    """(cone, points, multiples): a cone, pointed, with lineality or lower-dimensional,
+    and 1-3 points, some inside the cone, repeated or on the hull of the others."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["pointed", "lineality", "flat"]))
+    rays = draw(_vectors(_ints, d, max_size=3))
+    lin = draw(_vectors(_ints, d, min_size=1, max_size=1)) if shape == "lineality" else []
+    if shape == "flat":
+        rays = [r[:-1] + (0,) for r in rays]
+    cone = Cone.from_rays("Q", d, [r for r in rays if any(r)], [l for l in lin if any(l)])
+    kind = draw(st.sampled_from(["free", "inside", "repeat", "hull"]))
+    points = draw(_vectors(_rats, d, min_size=1 + (kind == "hull"), max_size=3 - (kind != "free")))
+    if kind == "inside":
+        # the origin, or a point plus a generator of the cone: inside p + cone
+        gens = cone.rays + cone.lineality
+        step = draw(st.sampled_from(gens)) if gens else (0,) * d
+        points.append(tuple(a + b for a, b in zip(draw(st.sampled_from(points)), step)))
+    elif kind == "repeat":
+        points.append(draw(st.sampled_from(points)))
+    elif kind == "hull":
+        t = draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)]))
+        points.append(tuple(a + t * (b - a) for a, b in zip(points[0], points[1])))
+    return cone, points, draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+
+
+@HYP
+@given(cone_hulls())
+def test_plus_hull_matches_rebuild(case):
+    # cone + conv(points): one resumed step per point after the first, then
+    # one shift, equals a run from scratch on the generators
+    cone, points, multiples = case
+    starts = []
+    real_process = dd.process
+
+    def counting(dim, constraints, start=None):
+        starts.append(start is not None)
+        return real_process(dim, constraints, start)
+
+    hom = [tuple(k * x for x in scale_to_int(v + (1,))) for v, k in zip(points, multiples)]
+    dd.process = counting
+    try:
+        got = cone.to_polyhedron()._plus_hull(hom)
+    finally:
+        dd.process = real_process
+    assert starts == [True] * (len(points) - 1)
+    want = ref_from_generators("Q", cone.dim_ambient, points, cone.rays, cone.lineality)
+    assert got == want
+
+
+def test_plus_hull_needs_the_vertex_zero():
+    for p in (poly_V([(1, 0)], [(1, 0)]), poly_V([(0, 0), (1, 0)]), Polyhedron.empty_in("Q", 2)):
+        with pytest.raises(ValueError, match="one vertex is 0"):
+            p._plus_hull([(1, 1, 1)])
+    # a face of a cone keeps the vertex 0
+    face = face_minimizing(poly_V([(0, 0)], [(1, 0), (0, 1)]), (1, 0))
+    assert face._plus_hull([(1, 1, 1), (2, 0, 1)]) == poly_V([(1, 1), (2, 0)], [(0, 1)])
 
 
 @HYP
