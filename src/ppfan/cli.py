@@ -19,6 +19,14 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def max_chambers(text):
+    """The value of --max-chambers: an integer >= 1 (argparse exits 2 on anything else)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def load_weights(path):
     """The weight matrix of a weight file; ValueError on anything but integer weights."""
     with open(path) as fh:
@@ -173,13 +181,13 @@ def build_parser():
     p = sub.add_parser("ppdivisor", help="divisor of the affine cone from a weight matrix")
     p.add_argument("--weights", required=True)
     p.add_argument("--rays", help="JSON file with an explicit list of rays")
-    p.add_argument("--max-chambers", type=int, default=10000,
+    p.add_argument("--max-chambers", type=max_chambers, default=10000,
                    help="guard on the number of chambers of the quotient fan")
     p.set_defaults(fn=cmd_ppdivisor)
 
     p = sub.add_parser("projectivize", help="fansy divisor of the projectivized variety")
     p.add_argument("--weights", required=True)
-    p.add_argument("--max-chambers", type=int, default=10000)
+    p.add_argument("--max-chambers", type=max_chambers, default=10000)
     p.set_defaults(fn=cmd_projectivize)
 
     p = sub.add_parser("fansy", help="Gr(2,n) fansy divisor, closed form and/or recipe")

@@ -58,7 +58,7 @@ from ._vecops import (dot, frac_str, is_zero, neg, primitive, ratio_str, reduce_
                       rref, rref_primitive, scale_to_int, sign_canonical)
 from . import dd
 from .dd import dd_pair, from_incidence, tight_masks
-from .lattice import homogenise, mat_vec, matrix_rank, rational_left_inverse
+from .lattice import homogenise, mat_vec
 
 
 class LatticeMismatch(ValueError):
@@ -834,8 +834,8 @@ class Subdivision:
                     continue
                 meet = intersect(pi_, pj)
                 if not meet.empty and meet.dim == dim:
-                    findings.append(
-                        f"cells {i} and {j} overlap in interiors; witness {_frac_point(meet)}")
+                    witness = [frac_str(x) for x in meet.relative_interior_point()]
+                    findings.append(f"cells {i} and {j} overlap in interiors; witness {witness}")
                     continue
                 if not (meet.is_face_of(pi_) and meet.is_face_of(pj)):
                     findings.append(f"cells {i} and {j} do not meet in a common face")
@@ -954,10 +954,6 @@ def _tiles(cells, dim, support=None):
     return not any(c.contains(x) for c in cells[1:])
 
 
-def _frac_point(p):
-    return [frac_str(x) for x in p.relative_interior_point()]
-
-
 def _label_json(label):
     if hasattr(label, "to_json"):
         return label.to_json()
@@ -985,63 +981,72 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
     have full row rank r.  The chamber of a point x of the support off every
     wall is the intersection of all face images containing x; by
     Caratheodory it is the intersection of the simplicial cones sigma_S over
-    the bases S (sets of r independent columns) that contain x.  The chambers
-    are found by a breadth-first walk from one generic point, stepping across
-    every facet that is not on the boundary of the support (Keicher,
-    *Computing the GIT-fan*).  Each step is checked: the chamber across is
-    full-dimensional and meets the old one in exactly the crossed facet.
+    the bases S (sets of r independent columns) that contain x.  The rows of
+    sigma_S are those of M_S^-1 (M_S the columns in S), made primitive: S is
+    a basis iff one elimination of (M_S | I) has r pivots, and then its right
+    half holds positive multiples of them.  Chambers are labelled with the
+    sorted tuple of their bases, read off the wall values of the genericity
+    test, and found by a breadth-first walk from one generic point across
+    every facet not on the support's boundary (Keicher, *Computing the
+    GIT-fan*): one double description run per chamber, one for the support.
 
-    Each maximal cone is labelled with the sorted tuple of the bases (column
-    index tuples) whose cones contain it.  The walk raises
-    RefinementGuardExceeded when it finds more than `max_chambers` chambers.
+    A step across the facet f = c ∩ {a = 0} of a chamber c ⊆ {a >= 0} finds a
+    chamber d that is full-dimensional, contains f and lies in {a <= 0} (a.g
+    <= 0 on its rays, a.l = 0 on its lineality).  This is c ∩ d = f, with no
+    intersection: if d ⊆ {a <= 0}, c ∩ d ⊆ c ∩ {a = 0} = f ⊆ c ∩ d; if g in d
+    has a.g > 0, p + eps*g is in d and inside c, for p in the relative
+    interior of f and small eps > 0.  ValueError if max_chambers < 1, and
+    RefinementGuardExceeded once the walk finds more than that many chambers.
     """
-    name = pi.codomain
-    r = pi.rows
+    if max_chambers < 1:
+        raise ValueError(f"max_chambers must be at least 1, got {max_chambers}")
+    name, r = pi.codomain, pi.rows
     cols = [pi.column(j) for j in range(pi.cols)]
-    bases = []  # (S, facet rows of sigma_S): the rows of the inverse of its column matrix
+    eye = [tuple(int(i == k) for k in range(r)) for i in range(r)]
+    walls = {}  # sign-canonical facet row -> its index among the wall values
+    bases = []  # (S, facet rows of sigma_S, (wall index, sign) of each row)
     for S in combinations(range(pi.cols), r):
-        mat = tuple(tuple(cols[j][i] for j in S) for i in range(r))
-        if matrix_rank(mat) == r:
-            bases.append((S, tuple(scale_to_int(a) for a in rational_left_inverse(mat))))
+        work, pivots = rref([tuple(cols[j][i] for j in S) + eye[i] for i in range(r)], r)
+        if len(pivots) == r:
+            rows = tuple(primitive(w[r:]) for w in work)
+            bases.append((S, rows, [(walls.setdefault(sign_canonical(a), len(walls)),
+                                     1 if sign_canonical(a) == a else -1) for a in rows]))
     if not bases:
         raise ValueError(f"pi has rank {pi.rank()} < {r} rows: no full-dimensional chambers")
-    walls = {sign_canonical(a) for _, rows in bases for a in rows}
     support = Cone.from_rays(name, r, cols)
     cache = {}
 
-    def label_of(x):
-        return tuple(S for S, rows in bases if all(dot(a, x) > 0 for a in rows))
-
     def chamber(label):
         if label not in cache:
-            rows = {a for S, rs in bases if S in label for a in rs}
+            rows = {a for S, rs, _ in bases if S in label for a in rs}
             cache[label] = Cone.from_ineqs(name, r, sorted(rows))
         return cache[label]
 
     def generic_near(p, d):
         # p + eps*d + eps^2*(1, eps, eps^2, ...) at eps = 2^-j, scaled by
         # 2^(j(r+1)) to integers: off every wall for all but finitely many
-        # eps, and on the d side of p for small eps
+        # eps, and on the d side of p for small eps; yields it with its label
         for j in range(_MAX_HALVINGS):
             y = tuple((x << j * (r + 1)) + (dx << j * r) + (1 << j * (r - 1 - i))
                       for i, (x, dx) in enumerate(zip(p, d)))
-            if all(dot(h, y) != 0 for h in walls):
-                yield y
+            vals = [dot(h, y) for h in walls]
+            if all(vals):
+                yield y, tuple(S for S, _, keys in bases if all(s * vals[k] > 0 for k, s in keys))
 
     def across(label, a, mask):
         # the chamber on the other side of the facet of chamber `label` on a.x = 0,
         # whose rays are those in `mask`
-        c = cache[label]
-        facet = c._face(mask)
-        for y in generic_near(facet.relative_interior_point(), neg(a)):
-            if dot(a, y) < 0 and (nxt := label_of(y)):
+        facet = cache[label]._face(mask)
+        for y, nxt in generic_near(facet.relative_interior_point(), neg(a)):
+            if nxt and dot(a, y) < 0:
                 d = chamber(nxt)
-                if d.dim == r and d.contains_cone(facet) and c.intersect(d) == facet:
+                if (d.dim == r and d.contains_cone(facet) and all(dot(a, g) <= 0 for g in d.rays)
+                        and not any(dot(a, l) for l in d.lineality)):
                     return nxt
         raise AssertionError(f"no chamber across the facet with rays {facet.rays}")
 
     start = tuple(sum(cols[j][i] for j in bases[0][0]) for i in range(r))
-    first = next(filter(None, map(label_of, generic_near(start, (0,) * r))))
+    first = next(label for _, label in generic_near(start, (0,) * r) if label)
     if chamber(first).dim != r:
         raise AssertionError(f"starting chamber has dimension {chamber(first).dim} < {r}")
     found = {first: None}  # insertion-ordered set

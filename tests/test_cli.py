@@ -78,6 +78,16 @@ def test_max_chambers_guard_exit_2(capsys, weights_file):
     assert code == 2 and out == "" and "chambers" in err
 
 
+@pytest.mark.parametrize("command", ["projectivize", "ppdivisor"])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_max_chambers_below_one_exit_2(capsys, weights_file, command, bound):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--weights", weights_file, "--max-chambers", bound])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument --max-chambers: must be at least 1, got {bound}" in out.err
+
+
 def test_fansy_both(capsys):
     code, out, _ = run(capsys, "fansy", "--n", "4", "--method", "both")
     assert code == 0

@@ -377,6 +377,9 @@ def check_chamber_fan(pi, fan, xs):
                               for h in support.ineqs)
             shared = [d for d in cones if d is not c and f.is_face_of(d)]
             assert len(shared) == (0 if on_boundary else 1), f.rays
+            # adjacent chambers meet in exactly the shared facet; the walk checks
+            # this by a half-space test, here it is the intersection itself
+            assert all(c.intersect(d) == f for d in shared), f.rays
 
 
 def test_refinement_identity_quadrants():
@@ -399,6 +402,61 @@ def test_refinement_guard():
     with pytest.raises(RefinementGuardExceeded):
         common_refinement_fan(line, max_chambers=31)
     assert len(common_refinement_fan(line, max_chambers=32).maximal) == 32
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_refinement_guard_below_one_refused(bound):
+    with pytest.raises(ValueError, match="max_chambers must be at least 1"):
+        common_refinement_fan(LatticeMap(((1, 0), (0, 1)), "E", "N"), max_chambers=bound)
+
+
+@pytest.mark.parametrize("weights, chambers", [
+    *[([(1, 3 * i - 4) for i in range(l)], 2 ** (l - 2)) for l in (5, 6, 7)],
+    ([[int(k in p) for k in range(5)] for p in itertools.combinations(range(5), 2)], 102),
+], ids=["line5", "line6", "line7", "gr25"])
+def test_refinement_runs_one_dd_per_chamber(monkeypatch, weights, chambers):
+    # points on a line and the Gr(2,5) weights e_i + e_j: one run from scratch
+    # per chamber and one for the support, as a wall is crossed by a half-space
+    # test, with no intersection
+    from ppfan.chow import build_setup
+    pi = build_setup(LatticeMap(tuple(zip(*weights)), "E", "M")).pi
+    fresh, resumed = [], []
+    real_process = dd.process
+
+    def counting(dim, constraints, start=None):
+        (fresh if start is None else resumed).append(dim)
+        return real_process(dim, constraints, start)
+
+    monkeypatch.setattr(dd, "process", counting)
+    assert len(common_refinement_fan(pi).maximal) == chambers
+    assert (len(fresh), len(resumed)) == (chambers + 1, 0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.lists(st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+                       min_size=r, max_size=r)))
+def test_refinement_basis_rows_are_the_inverse(mat):
+    # for a square pi the one basis is all columns: it is kept iff pi is
+    # invertible, and the rows its chamber is built from, taken from one
+    # elimination of (pi | I), are the rows of pi^-1 made primitive
+    from ppfan.lattice import matrix_rank, rational_left_inverse
+    mat = tuple(map(tuple, mat))
+    r = len(mat)
+    pi = LatticeMap(mat, "E", "N")
+    if matrix_rank(mat) < r:
+        with pytest.raises(ValueError, match="no full-dimensional chambers"):
+            common_refinement_fan(pi)
+        return
+    built = []
+    real = Cone.from_ineqs
+    Cone.from_ineqs = staticmethod(lambda *args: built.append(args[2]) or real(*args))
+    try:
+        fan = common_refinement_fan(pi)
+    finally:
+        Cone.from_ineqs = staticmethod(real)
+    assert built == [sorted(scale_to_int(a) for a in rational_left_inverse(mat))]
+    assert fan.labels() == [(tuple(range(r)),)]
 
 
 def test_refinement_point_location_randomized():
