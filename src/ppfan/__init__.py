@@ -28,7 +28,6 @@ from .polyhedra import (
     Polyhedron,
     Subdivision,
     common_refinement_fan,
-    dual_description,
     face_minimizing,
     fiber_polyhedron,
     induced_subdivision,
@@ -60,7 +59,6 @@ __all__ = [
     "check_retraction",
     "check_subdivision_structure",
     "common_refinement_fan",
-    "dual_description",
     "evaluate",
     "face_minimizing",
     "fansy_equal",

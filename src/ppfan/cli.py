@@ -216,7 +216,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, RefinementGuardExceeded, json.JSONDecodeError) as exc:
+    except RefinementGuardExceeded:
+        # the library's message names its argument; here the flag is what to change
+        sys.stderr.write(f"error: more than {args.max_chambers} chambers "
+                         "(raise --max-chambers to force)\n")
+        return 2
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -137,7 +137,11 @@ class RootSystemA:
         return tuple(v)
 
 
-def tail_cone_chart(I, n, orbit_guard=720):
+# tail_cone_chart compares with the chamber orbit up to this subgroup order (6!)
+_ORBIT_GUARD = 720
+
+
+def tail_cone_chart(I, n):
     """Dual cone of the non-parabolic positive roots, cross-checked against
     the subgroup orbit of the standard chamber when that orbit is small.
 
@@ -157,7 +161,7 @@ def tail_cone_chart(I, n, orbit_guard=720):
                              "(non-discrete kernel)")
     cone = Cone.from_ineqs(rs.ambient, rs.dim, [rs.root_form(i, j) for i, j in outside])
     group = _parabolic_subgroup(I, n)
-    if len(group) <= orbit_guard:
+    if len(group) <= _ORBIT_GUARD:
         gens = []
         for w in group:
             for g in rs.chamber_generators():

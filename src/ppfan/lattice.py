@@ -218,8 +218,8 @@ def _check_not_ragged(rows):
 
 
 @dataclass(frozen=True)
-class LatticeMap:
-    """Integer matrix between named lattices, acting on column vectors.
+class RationalMap:
+    """Rational matrix between named spaces, acting on column vectors.
 
     `width` only matters for zero-row matrices (maps into a rank-0 lattice),
     where the domain rank cannot be read off the entries.
@@ -230,62 +230,10 @@ class LatticeMap:
     codomain: str
     width: int = 0
 
-    def __post_init__(self):
-        ent = _exact_entries(self.entries, integral=True)
-        object.__setattr__(self, "entries", ent)
-        _check_not_ragged(ent)
-        if ent:
-            object.__setattr__(self, "width", len(ent[0]))
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else self.width
-
-    def apply(self, v):
-        if len(v) != self.cols:
-            raise ValueError(f"vector of length {len(v)} into {self.domain} of rank {self.cols}")
-        return mat_vec(self.entries, v)
-
-    @cached_property
-    def homogenised(self):
-        """`homogenise` of this map, computed on first use; not a field."""
-        return homogenise(self.entries, self.cols)
-
-    def compose(self, other):
-        """self after other (domain tags checked)."""
-        if other.codomain != self.domain:
-            raise ValueError(f"cannot compose: {other.codomain!r} != {self.domain!r}")
-        return LatticeMap(mat_mul(self.entries, other.entries), other.domain, self.codomain)
-
-    def rank(self):
-        return matrix_rank(self.entries)
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def to_json(self):
-        return {
-            "domain": self.domain,
-            "codomain": self.codomain,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
-
-
-@dataclass(frozen=True)
-class RationalMap:
-    """Rational matrix between named spaces; same orientation as LatticeMap."""
-
-    entries: tuple
-    domain: str
-    codomain: str
-    width: int = 0
+    integral = False  # a class constant, not a field; True admits int entries only
 
     def __post_init__(self):
-        ent = _exact_entries(self.entries, integral=False)
+        ent = _exact_entries(self.entries, self.integral)
         object.__setattr__(self, "entries", ent)
         _check_not_ragged(ent)
         if ent:
@@ -315,6 +263,24 @@ class RationalMap:
             "codomain": self.codomain,
             "entries": [[frac_str(x) for x in row] for row in self.entries],
         }
+
+
+class LatticeMap(RationalMap):
+    """Integer matrix between named lattices; a RationalMap with int entries."""
+
+    integral = True
+
+    def compose(self, other):
+        """self after other (domain tags checked)."""
+        if other.codomain != self.domain:
+            raise ValueError(f"cannot compose: {other.codomain!r} != {self.domain!r}")
+        return LatticeMap(mat_mul(self.entries, other.entries), other.domain, self.codomain)
+
+    def rank(self):
+        return matrix_rank(self.entries)
+
+    def column(self, j):
+        return tuple(r[j] for r in self.entries)
 
 
 @dataclass(frozen=True)

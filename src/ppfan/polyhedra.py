@@ -169,29 +169,6 @@ class Cone:
     def relative_interior_point(self):
         return tuple(sum(r[i] for r in self.rays) for i in range(self.dim_ambient))
 
-    def is_face_of(self, other):
-        """True iff self is a face of other (the face-of relation, exact).
-
-        The face of other cut out by its facet rows tight on self is spanned
-        by other's rays on those rows and its lineality; it contains self, so
-        it equals self iff self contains those generators.
-        """
-        if (self.ambient, self.dim_ambient) != (other.ambient, other.dim_ambient):
-            return False
-        if not other.contains_cone(self):
-            return False
-        tight = [a for a in other.ineqs
-                 if all(dot(a, r) == 0 for r in self.rays)
-                 and all(dot(a, l) == 0 for l in self.lineality)]
-        gens = [r for r in other.rays if all(dot(a, r) == 0 for a in tight)]
-        gens += list(other.lineality) + [neg(l) for l in other.lineality]
-        return all(self.contains(g) for g in gens)
-
-    def common_face_with(self, other):
-        """True iff self ∩ other is a face of both."""
-        meet = self.intersect(other)
-        return meet.is_face_of(self) and meet.is_face_of(other)
-
     def to_polyhedron(self):
         """The cone as a polyhedron with the one vertex 0, without double description.
 
@@ -590,19 +567,6 @@ def _tight_on(hom_row, poly):
 # elementary operations
 
 
-def dual_description(ambient, dim_ambient, vertices=None, rays=None, lineality=None,
-                     ineqs=None, eqs=None):
-    """Build a polyhedron from either description; both come out canonical."""
-    from_v = vertices is not None or rays is not None or lineality is not None
-    from_h = ineqs is not None or eqs is not None
-    if from_v == from_h:
-        raise ValueError("give exactly one of the two descriptions")
-    if from_v:
-        return Polyhedron.from_generators(ambient, dim_ambient,
-                                          vertices or (), rays or (), lineality or ())
-    return Polyhedron.from_halfspaces(ambient, dim_ambient, ineqs or (), eqs or ())
-
-
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     _check_same_ambient(p, q)
     if p.empty or q.empty:
@@ -754,9 +718,18 @@ class Fan:
         return tuple(sorted(out))
 
     def bad_pairs(self):
-        """The label pairs, in order, whose cones do not meet in a common face of both."""
-        return [(k, l) for (k, c), (l, d) in combinations(self.maximal, 2)
-                if not c.common_face_with(d)]
+        """The label pairs, in order, whose cones do not meet in a common face of both.
+
+        Each pair is intersected as polyhedra and the meet tested by
+        `Polyhedron.is_face_of`, as in `Subdivision.check`.
+        """
+        polys = [(label, c.to_polyhedron()) for label, c in self.maximal]
+        bad = []
+        for (k, p), (l, q) in combinations(polys, 2):
+            meet = intersect(p, q)
+            if not (meet.is_face_of(p) and meet.is_face_of(q)):
+                bad.append((k, l))
+        return bad
 
     def is_complete(self):
         """The cones form a complete fan, by the facet-matching certificate `_tiles`."""
@@ -784,9 +757,6 @@ class Subdivision:
     dim_ambient: int
     cells: tuple            # of (label, Polyhedron)
     support: object = None  # Polyhedron or None
-
-    def polyhedra(self):
-        return [p for _, p in self.cells]
 
     def maximal_cells(self):
         """Distinct cells that are not proper faces of another cell.

@@ -100,7 +100,7 @@ def check_induced_subdivisions(n):
     return True, "every partition height splits the weight polytope into its two big cells"
 
 
-def check_cube(n=4):
+def check_cube():
     sig = sigma_cone(4)
     cut = intersect(sig.to_polyhedron(),
                     Polyhedron.from_halfspaces("Nt(4)", 4, [], [((1, 1, 1, 1), 1)]))
@@ -133,9 +133,13 @@ def check_tail_fans(k, n):
     return True, f"{comb(n, k)} pointed cones, complete; chart cone matches"
 
 
-def check_weyl(kmax=3, nmax=7):
-    for n in range(2, nmax + 1):
-        for k in range(1, min(kmax, n - 1) + 1):
+# check_weyl covers the shuffles of Gr(k, n) for k <= 3 and n <= 7
+_WEYL_KMAX, _WEYL_NMAX = 3, 7
+
+
+def check_weyl():
+    for n in range(2, _WEYL_NMAX + 1):
+        for k in range(1, min(_WEYL_KMAX, n - 1) + 1):
             sh = shuffles(k, n)
             if len(sh) != comb(n, k):
                 return False, f"#shuffles({k},{n}) = {len(sh)}"
@@ -150,7 +154,7 @@ def check_weyl(kmax=3, nmax=7):
                 return False, f"cycle power formula fails at ({k},{n})"
             if inversion_set(w)[1] != k * (n - k):
                 return False, f"length of longest rep at ({k},{n})"
-    return True, f"counts, cycle formula and lengths for k<=({kmax}), n<=({nmax})"
+    return True, f"counts, cycle formula and lengths for k<=({_WEYL_KMAX}), n<=({_WEYL_NMAX})"
 
 
 def check_algebraic_identities(n):

@@ -19,7 +19,7 @@ from ppfan.divisors import (
     translate_coefficient,
 )
 from ppfan.lattice import LatticeMap
-from ppfan.polyhedra import Cone, Polyhedron, face_minimizing, intersect, min_value
+from ppfan.polyhedra import Cone, Fan, Polyhedron, face_minimizing, intersect, min_value
 
 
 def tri_divisor():
@@ -224,6 +224,44 @@ def test_structure_check_catches_overlap():
     rep = check_subdivision_structure(f)
     assert not rep.passed
     assert any("overlap" in s for s in rep.findings)
+
+
+def test_structure_check_names_the_one_bad_tail_pair():
+    # the first quadrant and the cone over (1, 1), (-1, 1) overlap in a
+    # 2-dimensional cone, a face of neither; each meets the fourth-quadrant
+    # cone over (0, -1), (1, -1) in the vertex 0, a face of both
+    lab = Label.named("D")
+    quadrant = Cone.from_rays("N", 2, [(1, 0), (0, 1)])
+    wedge = Cone.from_rays("N", 2, [(1, 1), (-1, 1)])
+    below = Cone.from_rays("N", 2, [(0, -1), (1, -1)])
+    f = FansyDivisor("N", 2, (lab,), tuple(
+        (key, PPDivisor("N", 2, c, ((lab, c.to_polyhedron()),)))
+        for key, c in (("a", quadrant), ("b", wedge), ("c", below))))
+    fan = Fan("N", 2, tuple((k, d.tail) for k, d in f.cells))
+    assert not fan.is_complete()
+    assert fan.bad_pairs() == [("a", "b")]
+    rep = check_subdivision_structure(f)
+    assert not rep.passed
+    tail_findings = [s for s in rep.findings if s.startswith("tail cones")]
+    assert tail_findings == ["tail cones of cells 'a' and 'b' do not meet in a common face"]
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_structure_check_passes_on_a_line_by_pairs(k):
+    # the tails [0, oo), {0} and (-oo, 0] defeat the facet certificate, since
+    # {0} is not full-dimensional, so the fan is checked pair by pair
+    setup = build_setup(LatticeMap(((1,) * k, tuple(range(k))), "E", "M"))
+    fansy = projectivize(setup, pp_from_weights(setup), verify=False)
+    tails = []
+    for key, d in fansy.cells:
+        if not any(d.tail == c for _, c in tails):
+            tails.append((key, d.tail))
+    assert sorted((c.rays, c.lineality) for _, c in tails) == [
+        ((), ()), (((-1,),), ()), (((1,),), ())]
+    fan = Fan(fansy.ambient, fansy.dim_ambient, tuple(tails))
+    assert not fan.is_complete() and fan.bad_pairs() == []
+    rep = check_subdivision_structure(fansy)
+    assert rep.passed, rep.findings
 
 
 def test_condition1_reflexive_and_walls():

@@ -16,6 +16,7 @@ from ppfan.divisors import Label, PPDivisor
 from ppfan.lattice import LatticeMap, RationalMap, hnf_rows
 from ppfan.polyhedra import (
     Cone,
+    Fan,
     Polyhedron,
     RefinementGuardExceeded,
     Subdivision,
@@ -23,7 +24,6 @@ from ppfan.polyhedra import (
     _subset_of,
     _tiles,
     common_refinement_fan,
-    dual_description,
     face_minimizing,
     fiber_polyhedron,
     induced_subdivision,
@@ -64,15 +64,6 @@ def test_inconsistent_H_is_empty():
     p = poly_H([((1,), 1), ((-1,), 0)], d=1)
     assert p.empty
     assert p == Polyhedron.empty_in("Q", 1)
-
-
-def test_dual_description_dispatch():
-    p = dual_description("Q", 2, vertices=[(0, 0), (1, 0)])
-    q = dual_description("Q", 2, ineqs=[(r[:-1], r[-1]) for r in p.ineqs],
-                         eqs=[(r[:-1], r[-1]) for r in p.eqs])
-    assert p == q
-    with pytest.raises(ValueError):
-        dual_description("Q", 2)
 
 
 def test_roundtrip_randomized():
@@ -279,7 +270,8 @@ def test_intersect_grass_tail_cones():
     meet = c12.intersect(c13)
     want = Cone.from_rays("Lstar(4)", 3, [(-1, 0, 0), (-1, -1, -1)])
     assert meet == want
-    assert meet.dim == 2 and meet.is_face_of(c12) and meet.is_face_of(c13)
+    assert meet.dim == 2
+    assert all(meet.to_polyhedron().is_face_of(c.to_polyhedron()) for c in (c12, c13))
 
 
 def test_lattice_mismatch_raises():
@@ -375,7 +367,8 @@ def check_chamber_fan(pi, fan, xs):
         for f in c.facets():
             on_boundary = any(all(_dot(h, g) == 0 for g in f.rays + f.lineality)
                               for h in support.ineqs)
-            shared = [d for d in cones if d is not c and f.is_face_of(d)]
+            shared = [d for d in cones
+                      if d is not c and f.to_polyhedron().is_face_of(d.to_polyhedron())]
             assert len(shared) == (0 if on_boundary else 1), f.rays
             # adjacent chambers meet in exactly the shared facet; the walk checks
             # this by a half-space test, here it is the intersection itself
@@ -993,11 +986,13 @@ def cone_pairs(draw):
 @HYP
 @given(cone_pairs())
 def test_cone_is_face_of_matches_rebuild(pair):
+    # the face relation of cones is that of their polyhedra, vertex 0 included
     c, other = pair
-    assert c.is_face_of(other) == ref_cone_is_face_of(c, other)
-    assert other.is_face_of(c) == ref_cone_is_face_of(other, c)
+    p, q = c.to_polyhedron(), other.to_polyhedron()
+    assert p.is_face_of(q) == ref_cone_is_face_of(c, other)
+    assert q.is_face_of(p) == ref_cone_is_face_of(other, c)
     moved = replace(c, ambient="R")
-    assert moved.is_face_of(other) is False
+    assert moved.to_polyhedron().is_face_of(q) is False
     assert ref_cone_is_face_of(moved, other) is False
 
 
@@ -1248,7 +1243,10 @@ def test_certificate_on_cones():
     q3 = Cone.from_rays("A", 2, [(-1, 0), (0, -1)])
     q4 = Cone.from_rays("A", 2, [(1, 0), (0, -1)])
     low = Cone.from_rays("A", 2, [(0, -1)], [(1, 0)])
-    assert not _tiles([up, q3, q4], 2) and not up.common_face_with(q3)
+    assert not _tiles([up, q3, q4], 2)
+    # each bad meet is a ray, a face of the quadrant but not of the half-plane
+    assert Fan("A", 2, (("q3", q3), ("up", up), ("q4", q4))).bad_pairs() == [
+        ("q3", "up"), ("up", "q4")]
     assert _tiles([up, low], 2)
     assert not _tiles([up, low, q4], 2)
     # two complete fans overlaid: every facet matches, every point is covered twice
