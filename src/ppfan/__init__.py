@@ -10,8 +10,6 @@ from .divisors import (
     check_subdivision_structure,
     evaluate,
     fansy_equal,
-    intersect_pp,
-    translate_coefficient,
 )
 from .lattice import (
     LatticeMap,
@@ -29,12 +27,10 @@ from .polyhedra import (
     Subdivision,
     common_refinement_fan,
     face_minimizing,
-    fiber_polyhedron,
     induced_subdivision,
     intersect,
     linear_image,
     min_value,
-    minkowski_sum,
 )
 from .chow import WeightSetup, boundary_face, build_setup, pp_from_weights, projectivize
 
@@ -62,18 +58,14 @@ __all__ = [
     "evaluate",
     "face_minimizing",
     "fansy_equal",
-    "fiber_polyhedron",
     "induced_subdivision",
     "integral_section",
     "intersect",
-    "intersect_pp",
     "kernel_basis",
     "linear_image",
     "min_value",
-    "minkowski_sum",
     "pp_from_weights",
     "projectivize",
     "quotient_projection",
     "smith_normal_form",
-    "translate_coefficient",
 ]

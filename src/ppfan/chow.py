@@ -222,6 +222,8 @@ def boundary_face(setup: WeightSetup, recipe: RecipeDivisor, label, v) -> Polyhe
     Empty exactly when the v-th coordinate is bounded away from zero on the
     fiber (`_zero_coords`); otherwise the face of the coefficient minimising
     that coordinate form.
+
+    Kept as the reference for `projectivize`'s terms, and as a layer the benchmark traces.
     """
     delta = recipe.divisor.coefficient(label)
     if v not in _zero_coords(recipe.emb, recipe.sections[recipe.divisor.labels().index(label)]):

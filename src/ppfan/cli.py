@@ -9,7 +9,7 @@ import sys
 
 from .chow import _default_retraction, _recipe_tail, build_setup, pp_from_weights, projectivize
 from .divisors import fansy_equal
-from .grassmann import fansy_closed_form, fansy_via_recipe, tail_fan
+from .grassmann import MAX_N, fansy_closed_form, fansy_via_recipe, tail_fan
 from .lattice import LatticeMap
 from .polyhedra import RefinementGuardExceeded, induced_subdivision
 from .verify import run_battery
@@ -33,8 +33,8 @@ def load_weights(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("weight file must be a JSON object with lattice_rank and weights")
-    rank = data["lattice_rank"]
-    weights = data["weights"]
+    rank = data.get("lattice_rank")
+    weights = data.get("weights")
     if not _is_int(rank) or rank < 1:
         raise ValueError(f"lattice_rank must be an integer >= 1, got {rank!r}")
     if not isinstance(weights, list) or not weights:
@@ -193,7 +193,7 @@ def build_parser():
     p = sub.add_parser("fansy", help="Gr(2,n) fansy divisor, closed form and/or recipe")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["closed", "recipe", "both"], default="both")
-    p.add_argument("--max-n", type=int, default=9)
+    p.add_argument("--max-n", type=int, default=MAX_N)
     p.set_defaults(fn=cmd_fansy)
 
     p = sub.add_parser("verify", help="run the full verification battery for one n")

@@ -17,9 +17,7 @@ from .polyhedra import (
     Cone,
     Fan,
     Subdivision,
-    _check_same_ambient,
     face_minimizing,
-    intersect,
     min_value,
 )
 
@@ -145,25 +143,6 @@ def evaluate(divisor: PPDivisor, u) -> FormalDivisor:
     return FormalDivisor(tuple(terms), tuple(omitted))
 
 
-def intersect_pp(d1: PPDivisor, d2: PPDivisor) -> PPDivisor:
-    """Label-wise intersection; empty coefficients appear naturally here."""
-    _check_same_ambient(d1, d2)
-    if d1.labels() != d2.labels():
-        raise ValueError("label sets differ")
-    tail = d1.tail.intersect(d2.tail)
-    terms = [(l, intersect(p, d2.coefficient(l))) for l, p in d1.terms]
-    return PPDivisor(d1.ambient, d1.dim_ambient, tail, tuple(terms))
-
-
-def translate_coefficient(divisor: PPDivisor, label, v) -> PPDivisor:
-    """Translate one coefficient by the vector v; the tail is unchanged."""
-    if label not in divisor.labels():
-        raise KeyError(label)
-    terms = [(l, p.translate(v) if l == label and not p.empty else p)
-             for l, p in divisor.terms]
-    return PPDivisor(divisor.ambient, divisor.dim_ambient, divisor.tail, tuple(terms))
-
-
 @dataclass(frozen=True)
 class FansyDivisor:
     """Indexed family of PPDivisors with one global label set."""
@@ -181,12 +160,6 @@ class FansyDivisor:
                 raise ValueError(f"cell {key!r} does not carry the global label set")
             if d.ambient != self.ambient:
                 raise ValueError(f"cell {key!r} lives in {d.ambient!r}")
-
-    def cell(self, key):
-        for k, d in self.cells:
-            if k == key:
-                return d
-        raise KeyError(key)
 
     def subdivision_for(self, label) -> Subdivision:
         # every cell carries the sorted global labels, so the label's term is at one position

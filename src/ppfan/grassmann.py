@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._vecops import primitive, scale_to_int
+from ._vecops import primitive
 from .chow import (
     build_setup,
     positive_fiber,
@@ -368,33 +368,11 @@ def positive_fiber_part(n, part) -> Polyhedron:
     return fib
 
 
-def partition_coefficient(n, part, check=True) -> Polyhedron:
-    """Closed-form divisor coefficient for a partition, in the Q^n coordinates.
-
-    One endpoint scales the part indicator, the other differs by half the
-    indicator difference; the tail is the common cone.  Cross-checked against
-    the retracted fiber r(x0 + emb(Y)) = Y + r(x0).
-    """
-    B = part if isinstance(part, Partition) else Partition(n, part)
-    setup = gr_setup(n)
-    b = B.b
-    head = Fraction(b - 1, n - 2)
-    trace = Fraction((b - 1) * b, 2 * (n - 2) * (n - 1))
-    v1 = tuple(head * (1 if i in B.part else 0) - trace for i in range(1, n + 1))
-    half = Fraction(1, 2)
-    in_comp = set(B.complement)
-    v2 = tuple(x + half * ((1 if i in in_comp else 0) - (1 if i in B.part else 0))
-               for i, x in zip(range(1, n + 1), v1))
-    closed = fiber_tail(n)._plus_hull([scale_to_int(v + (1,)) for v in (v1, v2)])
-    if check:
-        x0 = setup.ws.section.apply(partition_ray(n, B)[0])
-        if positive_fiber_part(n, B)._translate_hom(_retracted(setup, x0)) != closed:
-            raise AssertionError(f"retracted fiber of {B.part} does not match the closed form")
-    return closed
-
-
 # ---------------------------------------------------------------------------
 # the fansy divisor, two ways
+
+# the largest n of `ppfan verify`, and of the recipe route unless `max_n` (`--max-n`) raises it
+MAX_N = 9
 
 
 def fansy_closed_form(n) -> FansyDivisor:
@@ -426,7 +404,7 @@ def fansy_closed_form(n) -> FansyDivisor:
     return FansyDivisor(rs.ambient, rs.dim, tuple(l for l, _, _ in ends), tuple(cells))
 
 
-def fansy_via_recipe(n, max_n=9, verify=True) -> FansyDivisor:
+def fansy_via_recipe(n, max_n=MAX_N, verify=True) -> FansyDivisor:
     """Full pipeline: fibers over the partition rays, retracted, boundary faces
     projected along the degree direction.  Cells are keyed by the coordinate
     pairs; compare with the closed form through divisors.fansy_equal.

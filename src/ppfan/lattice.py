@@ -270,12 +270,6 @@ class LatticeMap(RationalMap):
 
     integral = True
 
-    def compose(self, other):
-        """self after other (domain tags checked)."""
-        if other.codomain != self.domain:
-            raise ValueError(f"cannot compose: {other.codomain!r} != {self.domain!r}")
-        return LatticeMap(mat_mul(self.entries, other.entries), other.domain, self.codomain)
-
     def rank(self):
         return matrix_rank(self.entries)
 

@@ -8,7 +8,7 @@ integer vectors.  Equality of polyhedra is plain structural equality of the
 canonical data, which is what the golden tests rely on.
 
 The empty polyhedron is a value, not an error; operations that genuinely
-need a point (minimisation, Minkowski sums) raise on it.
+need a point (minimisation) raise on it.
 
 `common_refinement_fan` gives the quotient fan of a projection: the
 coarsest common refinement of the images of the orthant faces, on its
@@ -135,11 +135,6 @@ class Cone:
             self.ineqs + other.ineqs, self.eqs + other.eqs,
         )
 
-    def dual(self):
-        """The cone of linear forms nonnegative on self."""
-        return Cone(f"{self.ambient}*", self.dim_ambient,
-                    self.ineqs, self.eqs, self.rays, self.lineality)
-
     @cached_property
     def _incidence(self):
         """(row, bitmask of the rays it is tight on) for each facet row; not a field."""
@@ -256,10 +251,6 @@ class Polyhedron:
         if self.empty:
             return -1
         return self.dim_ambient - len(self.eqs)
-
-    @property
-    def is_pointed(self):
-        return not self.lineality
 
     @property
     def vertices(self):
@@ -567,18 +558,6 @@ def _tight_on(hom_row, poly):
 # elementary operations
 
 
-def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    _check_same_ambient(p, q)
-    if p.empty or q.empty:
-        raise ValueError("Minkowski sum needs nonempty summands")
-    # N/D + M/E = (N*E + M*D) / (D*E)
-    points = [primitive(tuple(x * w[-1] + y * v[-1] for x, y in zip(v, w[:-1]))
-                        + (v[-1] * w[-1],))
-              for v in p.points for w in q.points]
-    return _from_hom_generators(p.ambient, p.dim_ambient, points,
-                                p.rays + q.rays, p.lineality + q.lineality)
-
-
 def min_value(p: Polyhedron, u):
     """Exact min of <x, u> over p, or None when unbounded below."""
     _check_lengths(p.dim_ambient, [u], "form")
@@ -682,15 +661,6 @@ def map_image(p: Polyhedron, f) -> Polyhedron:
     if f.cols != p.dim_ambient:
         raise ValueError(f"map of width {f.cols}, expected {p.dim_ambient}")
     return linear_image(p, f.entries, f.codomain, f.rows, f.homogenised)
-
-
-def fiber_polyhedron(pi, c) -> Polyhedron:
-    """pi^{-1}(c) ∩ nonnegative orthant in the domain of pi."""
-    d = pi.cols
-    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    ineqs = [(u, 0) for u in unit]
-    eqs = [(row, c[i]) for i, row in enumerate(pi.entries)]
-    return Polyhedron.from_halfspaces(pi.domain, d, ineqs, eqs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from math import comb
 from ._vecops import primitive
 from .divisors import check_subdivision_structure, fansy_equal
 from .grassmann import (
+    MAX_N,
     RootSystemA,
     fansy_closed_form,
     fansy_via_recipe,
@@ -196,13 +197,15 @@ def check_local_chart(n):
 def run_battery(n):
     """All checks applicable at this n, as (name, passed, detail) triples.
 
-    Raises ValueError for n < 4, before any check runs: the battery is about
-    Gr(2,n) for n >= 4, and below that its checks pass vacuously or fail.
+    Raises ValueError for n < 4 or n > MAX_N, before any check runs: the battery
+    is about Gr(2,n) for 4 <= n <= MAX_N, and outside that its checks pass vacuously or fail.
     The closed form is built once, when the first check that needs it runs;
     if building it raises, every such check fails with that exception.
     """
     if n < 4:
         raise ValueError("need n >= 4")
+    if n > MAX_N:
+        raise ValueError(f"n={n} beyond the guard ({MAX_N})")
     built = []  # (closed form, None) or (None, the exception building it raised)
 
     def closed():

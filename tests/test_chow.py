@@ -16,7 +16,7 @@ from ppfan.chow import (
     pp_from_weights,
     projectivize,
 )
-from ppfan.divisors import Label, check_subdivision_structure, translate_coefficient
+from ppfan.divisors import Label, check_subdivision_structure
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
@@ -26,7 +26,9 @@ from ppfan.lattice import (
     quotient_projection,
     rational_left_inverse,
 )
-from ppfan.polyhedra import Polyhedron, fiber_polyhedron, map_image, min_value
+from ppfan.polyhedra import Polyhedron, map_image, min_value
+
+from test_polyhedra import ref_fiber_polyhedron
 
 
 def weighted_line_setup(a, b, A, B):
@@ -213,8 +215,8 @@ def test_section_independence_randomized():
         rec2 = pp_from_weights(setup2, rays=[c for _, c in rec1.rays])
         for label, c in rec1.rays:
             delta = tuple(-x for x in mat_vec(R, c))
-            moved = translate_coefficient(rec1.divisor, label, delta)
-            assert moved.coefficient(label) == rec2.divisor.coefficient(label)
+            moved = rec1.divisor.coefficient(label).translate(delta)
+            assert moved == rec2.divisor.coefficient(label)
 
 
 def test_two_sections_differ_by_translation():
@@ -231,8 +233,8 @@ def test_two_sections_differ_by_translation():
         diff = tuple(a - b for a, b in
                      zip(setup_canon.section.apply(c), setup_paper.section.apply(c)))
         shift = mat_vec(T, diff)
-        moved = translate_coefficient(rec1.divisor, label, shift)
-        assert moved.coefficient(label) == rec2.divisor.coefficient(label)
+        moved = rec1.divisor.coefficient(label).translate(shift)
+        assert moved == rec2.divisor.coefficient(label)
 
 
 def test_ray_missing_orthant_image_rejected():
@@ -307,7 +309,7 @@ def test_recipe_coefficients_are_shifted_and_retracted_fibers(setup):
     retr = _default_retraction(setup)
     for (label, c), x0, (_, coeff) in zip(recipe.rays, recipe.sections, recipe.divisor.terms):
         assert x0 == setup.section.apply(c)
-        fib = fiber_polyhedron(setup.pi, c)
+        fib = ref_fiber_polyhedron(setup.pi, c)
         assert coeff == map_image(fib.translate(tuple(-F(x) for x in x0)), retr)
         zero = old_zero_coords(fib)
         assert _zero_coords(recipe.emb, x0) == zero
@@ -324,7 +326,7 @@ def test_grassmann_recipe_coefficients_are_retracted_fibers(n):
     setup = gr_setup(n)
     recipe = recipe_divisor(n)
     for (label, c), x0, (_, coeff) in zip(recipe.rays, recipe.sections, recipe.divisor.terms):
-        fib = fiber_polyhedron(setup.pi, c)
+        fib = ref_fiber_polyhedron(setup.pi, c)
         assert coeff == map_image(fib, setup.retraction)
         assert _zero_coords(recipe.emb, x0) == old_zero_coords(fib)
 

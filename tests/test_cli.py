@@ -1,15 +1,25 @@
 import hashlib
+import importlib
 import json
+import pathlib
 
 import pytest
 
 import ppfan
 from ppfan.cli import main
+from ppfan.grassmann import MAX_N
 
 
 def test_every_exported_name_resolves():
     assert len(set(ppfan.__all__)) == len(ppfan.__all__)
     assert [name for name in ppfan.__all__ if not hasattr(ppfan, name)] == []
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    # the benchmark's tracer refuses to run when a layer it wraps is gone
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    assert all(callable(tracing._resolve(name)) for name in tracing.LAYERS)
 
 
 @pytest.fixture
@@ -159,7 +169,10 @@ def test_ragged_weights_exit_2(capsys, tmp_path):
     ({"lattice_rank": 0, "weights": []}, "lattice_rank"),
     ({"lattice_rank": 2, "weights": []}, "nonempty"),
     ({"lattice_rank": 2.0, "weights": [[2, 1], [1, 1], [0, 1]]}, "lattice_rank"),
-], ids=["float", "bool", "rank-0-empty", "no-weights", "float-rank"])
+    ({"weights": [[2, 1], [1, 1], [0, 1]]}, "lattice_rank must be an integer >= 1, got None"),
+    ({"lattice_rank": 2}, "weights must be a nonempty list"),
+], ids=["float", "bool", "rank-0-empty", "no-weights", "float-rank", "rank-missing",
+        "weights-missing"])
 def test_non_integer_or_empty_weights_exit_2(capsys, tmp_path, data, needle):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -171,6 +184,14 @@ def test_non_integer_or_empty_weights_exit_2(capsys, tmp_path, data, needle):
 def test_fansy_guard_exit_2(capsys):
     code, _, err = run(capsys, "fansy", "--n", "10")
     assert code == 2
+
+
+def test_verify_guard_exit_2(capsys):
+    # refused before any check runs, as the recipe route would refuse n
+    n = MAX_N + 1
+    code, out, err = run(capsys, "verify", "--n", str(n))
+    assert code == 2 and out == ""
+    assert err == f"error: n={n} beyond the guard ({MAX_N})\n"
 
 
 def test_output_is_deterministic(capsys):

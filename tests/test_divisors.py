@@ -15,8 +15,6 @@ from ppfan.divisors import (
     check_subdivision_structure,
     evaluate,
     fansy_equal,
-    intersect_pp,
-    translate_coefficient,
 )
 from ppfan.lattice import LatticeMap
 from ppfan.polyhedra import Cone, Fan, Polyhedron, face_minimizing, intersect, min_value
@@ -146,44 +144,19 @@ def test_evaluate_concave_randomized():
 
 
 def test_translate_and_evaluate():
+    # translating one term by v shifts its evaluation at u by <v, u>, the other term stays
     d = tri_divisor()
+    zero, inf = Label.named("0"), Label.named("inf")
     v = (F(1, 3), F(2))
-    d2 = translate_coefficient(d, Label.named("0"), v)
+    moved = d.coefficient(zero).translate(v)
+    d2 = PPDivisor(d.ambient, d.dim_ambient, d.tail, ((zero, moved), (inf, d.coefficient(inf))))
     u = (2, 1)
-    before = evaluate(d, u).coefficient(Label.named("0"))
-    after = evaluate(d2, u).coefficient(Label.named("0"))
-    assert after - before == sum(a * b for a, b in zip(v, u))
-    assert translate_coefficient(d, Label.named("0"), (0, 0)) == d
+    before, after = evaluate(d, u), evaluate(d2, u)
+    assert after.coefficient(zero) - before.coefficient(zero) == sum(a * b for a, b in zip(v, u))
+    assert after.coefficient(inf) == before.coefficient(inf)
+    assert d.coefficient(zero).translate((0, 0)) == d.coefficient(zero)
     with pytest.raises(KeyError):
-        translate_coefficient(d, Label.named("zz"), v)
-
-
-def test_intersect_pp_idempotent_commutative():
-    d = tri_divisor()
-    assert intersect_pp(d, d) == d
-    # shifted copy: intersection keeps common parts, commutes
-    d2 = translate_coefficient(d, Label.named("0"), (1, 0))
-    assert intersect_pp(d, d2) == intersect_pp(d2, d)
-
-
-def test_intersect_pp_empty_coefficient():
-    sigma = Cone.from_rays("Nt", 2, [(0, 1)])
-    a1 = Polyhedron.from_generators("Nt", 2, [(0, 0)], sigma.rays)
-    a2 = Polyhedron.from_generators("Nt", 2, [(2, 0)], sigma.rays)
-    keep = Polyhedron.from_generators("Nt", 2, [(0, 0), (5, 0)], sigma.rays)
-    d1 = PPDivisor("Nt", 2, sigma, ((Label.named("a"), a1), (Label.named("b"), keep)))
-    d2 = PPDivisor("Nt", 2, sigma, ((Label.named("a"), a2), (Label.named("b"), keep)))
-    meet = intersect_pp(d1, d2)
-    assert meet.coefficient(Label.named("a")).empty
-    assert meet.coefficient(Label.named("b")) == keep
-
-
-def test_intersect_pp_label_mismatch():
-    d = tri_divisor()
-    other = PPDivisor("Nt", 2, d.tail, ((Label.named("x"), d.coefficient(Label.named("0"))),
-                                        (Label.named("inf"), d.coefficient(Label.named("inf")))))
-    with pytest.raises(ValueError):
-        intersect_pp(d, other)
+        d.coefficient(Label.named("zz"))
 
 
 def halfline_fansy():

@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
+from ppfan._vecops import scale_to_int
 from ppfan.divisors import check_subdivision_structure, fansy_equal
 from ppfan.grassmann import (
     Partition,
     RootSystemA,
+    _retracted,
     fansy_closed_form,
     fansy_via_recipe,
     fiber_tail,
@@ -18,7 +20,6 @@ from ppfan.grassmann import (
     longest_coset_rep,
     pair_vector,
     pairs,
-    partition_coefficient,
     partition_ray,
     partitions,
     plucker_degree_map,
@@ -30,7 +31,7 @@ from ppfan.grassmann import (
     tail_fan,
 )
 from ppfan.lattice import check_retraction
-from ppfan.polyhedra import Cone, Polyhedron, map_image
+from ppfan.polyhedra import Cone, Polyhedron, intersect, map_image
 
 
 # --- symmetric group -------------------------------------------------------
@@ -214,6 +215,31 @@ def test_partition_rays_in_refinement_fan():
 
 # --- fibers and coefficients ------------------------------------------------
 
+def ref_partition_coefficient(n, part, check=True) -> Polyhedron:
+    """Closed-form divisor coefficient for a partition, in the Q^n coordinates.
+
+    One endpoint scales the part indicator, the other differs by half the
+    indicator difference; the tail is the common cone.  Cross-checked against
+    the retracted fiber r(x0 + emb(Y)) = Y + r(x0).
+    """
+    B = part if isinstance(part, Partition) else Partition(n, part)
+    setup = gr_setup(n)
+    b = B.b
+    head = F(b - 1, n - 2)
+    trace = F((b - 1) * b, 2 * (n - 2) * (n - 1))
+    v1 = tuple(head * (1 if i in B.part else 0) - trace for i in range(1, n + 1))
+    half = F(1, 2)
+    in_comp = set(B.complement)
+    v2 = tuple(x + half * ((1 if i in in_comp else 0) - (1 if i in B.part else 0))
+               for i, x in zip(range(1, n + 1), v1))
+    closed = fiber_tail(n)._plus_hull([scale_to_int(v + (1,)) for v in (v1, v2)])
+    if check:
+        x0 = setup.ws.section.apply(partition_ray(n, B)[0])
+        if positive_fiber_part(n, B)._translate_hom(_retracted(setup, x0)) != closed:
+            raise AssertionError(f"retracted fiber of {B.part} does not match the closed form")
+    return closed
+
+
 def fiber_in_E(n, B):
     """The positive fiber in E(n), x0 + emb(Y), from the recipe's Y in ker pi coordinates."""
     setup = gr_setup(n)
@@ -233,7 +259,7 @@ def test_positive_fibers(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_fiber_references_match_one_run_each(n):
     # positive_fiber_part returns the fiber only when it equals its reference
-    # (a resumed step on fiber_tail), and partition_coefficient is built the
+    # (a resumed step on fiber_tail), and ref_partition_coefficient is built the
     # same way: in E(n) the fiber equals from_generators on the segment's
     # ends and the tail's rays, and the coefficient the same, retracted
     setup = gr_setup(n)
@@ -244,7 +270,7 @@ def test_fiber_references_match_one_run_each(n):
         ends = [pair_vector(n, B.part), pair_vector(n, B.complement)]
         assert fiber_in_E(n, B) == Polyhedron.from_generators(
             f"E({n})", len(ends[0]), ends, rays)
-        assert partition_coefficient(n, B, check=False) == Polyhedron.from_generators(
+        assert ref_partition_coefficient(n, B, check=False) == Polyhedron.from_generators(
             f"Nt({n})", n, [setup.retraction.apply(v) for v in ends], sigma_cone(n).rays)
 
 
@@ -257,7 +283,7 @@ def test_sigma_cube_n4():
 
 
 def test_partition_coefficient_n4():
-    d = partition_coefficient(4, (1, 2))
+    d = ref_partition_coefficient(4, (1, 2))
     assert set(d.vertices) == {
         (F(1, 3), F(1, 3), F(-1, 6), F(-1, 6)),
         (F(-1, 6), F(-1, 6), F(1, 3), F(1, 3)),
@@ -279,7 +305,7 @@ def test_retraction_endpoint_formula(n):
 def test_recipe_divisor_matches_closed_coefficients():
     rec = recipe_divisor(4)
     for B in partitions(4):
-        assert rec.divisor.coefficient(B.label()) == partition_coefficient(4, B)
+        assert rec.divisor.coefficient(B.label()) == ref_partition_coefficient(4, B)
 
 
 # --- the fansy divisor ------------------------------------------------------
@@ -417,13 +443,6 @@ def test_recipe_guard():
         fansy_via_recipe(10)
 
 
-def test_intersect_pp_associative_on_cells():
-    from ppfan.divisors import intersect_pp
-    f = fansy_closed_form(4)
-    a, b, c = f.cell((1, 2)), f.cell((1, 3)), f.cell((1, 4))
-    assert intersect_pp(intersect_pp(a, b), c) == intersect_pp(a, intersect_pp(b, c))
-
-
 def test_condition1_witnesses_on_closed_form():
     from ppfan.divisors import check_fansy_condition1
     rep = check_fansy_condition1(fansy_closed_form(4))
@@ -455,13 +474,13 @@ def test_route_json_digest(n, digest):
 
 
 def test_intersect_cells_sharing_the_edge():
-    from ppfan.divisors import intersect_pp
     f = fansy_closed_form(4)
-    meet = intersect_pp(f.cell((1, 3)), f.cell((1, 4)))
+    cells = dict(f.cells)
     B = Partition(4, (1, 2))
-    m = meet.coefficient(B.label())
-    assert m.is_face_of(f.cell((1, 3)).coefficient(B.label()))
-    assert m.is_face_of(f.cell((1, 4)).coefficient(B.label()))
+    a, b = (cells[key].coefficient(B.label()) for key in ((1, 3), (1, 4)))
+    m = intersect(a, b)
+    assert m.is_face_of(a)
+    assert m.is_face_of(b)
     rs = RootSystemA(4)
     ell = rs.ell_sum(B.part)
     assert set(m.vertices) == {tuple(F(1, 2) * x for x in ell),

@@ -199,14 +199,6 @@ def test_matrix_rank_matches_oracle():
         assert matrix_rank(A) == frac_rank(A)
 
 
-def test_lattice_map_tag_checks():
-    f = LatticeMap(((1, 0),), "A", "B")
-    g = LatticeMap(((1,), (0,)), "C", "A")
-    with pytest.raises(ValueError):
-        f.compose(LatticeMap(((1,), (0,)), "C", "D"))
-    assert f.compose(g).domain == "C"
-
-
 def test_rational_map_json_roundtrip_strings():
     t = RationalMap((("1/2", "-1/3"),), "A", "B")
     js = t.to_json()

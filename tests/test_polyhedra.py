@@ -25,13 +25,11 @@ from ppfan.polyhedra import (
     _tiles,
     common_refinement_fan,
     face_minimizing,
-    fiber_polyhedron,
     induced_subdivision,
     intersect,
     linear_image,
     map_image,
     min_value,
-    minkowski_sum,
 )
 
 from oracles import brute_min, brute_rays, brute_vertices
@@ -118,39 +116,13 @@ def test_vertices_match_brute_force_with_equations():
 
 # --- minkowski sums --------------------------------------------------------
 
-def test_minkowski_neutral_element():
-    p = poly_V([(0, 1), (2, 0)], rays=[(1, 1)])
-    zero = poly_V([(0, 0)])
-    assert minkowski_sum(p, zero) == p
-
-
 def test_minkowski_segment_plus_cone():
-    seg = poly_V([(0, 1), (1, 0)])
-    cone = poly_V([(0, 0)], rays=[(1, 0), (-1, 2)])
-    s = minkowski_sum(seg, cone)
+    # the cone plus the hull of the segment's ends (`_plus_hull`, homogeneous points)
+    cone = Cone.from_rays("Q", 2, [(1, 0), (-1, 2)])
+    s = cone.to_polyhedron()._plus_hull([(0, 1, 1), (1, 0, 1)])
     assert s.vertices == ((F(0), F(1)), (F(1), F(0)))
     assert s.rays == ((-1, 2), (1, 0))
-
-
-def test_minkowski_cone_idempotent():
-    cone = poly_V([(0, 0)], rays=[(1, 0), (1, 2)])
-    assert minkowski_sum(cone, cone) == cone
-
-
-def test_minkowski_rejects_empty():
-    with pytest.raises(ValueError):
-        minkowski_sum(poly_V([(0, 0)]), Polyhedron.empty_in("Q", 2))
-
-
-def test_minkowski_assoc_comm_randomized():
-    rng = random.Random(11)
-    for _ in range(60):
-        ps = [poly_V([tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(rng.randint(1, 3))],
-                     rays=[r for r in [tuple(rng.randint(-1, 1) for _ in range(2))] if any(r)])
-              for _ in range(3)]
-        a, b, c = ps
-        assert minkowski_sum(a, b) == minkowski_sum(b, a)
-        assert minkowski_sum(minkowski_sum(a, b), c) == minkowski_sum(a, minkowski_sum(b, c))
+    assert s == poly_V([(0, 1), (1, 0)], rays=[(1, 0), (-1, 2)])
 
 
 # --- faces and minima ------------------------------------------------------
@@ -227,9 +199,8 @@ def test_face_compact_for_interior_dual_forms():
 
 
 def test_fiber_recession_cone_is_kernel_meet_orthant():
-    from ppfan.polyhedra import Cone
     pi = LatticeMap(((1, -2, 1),), "E", "N")
-    f = fiber_polyhedron(pi, (1,))
+    f = ref_fiber_polyhedron(pi, (1,))
     unit = [tuple(1 if j == i else 0 for j in range(3)) for i in range(3)]
     want = Cone.from_ineqs("E", 3, unit, pi.entries)
     assert f.tail_cone() == want
@@ -282,6 +253,20 @@ def test_lattice_mismatch_raises():
 
 
 # --- images and fibers -----------------------------------------------------
+#
+# ref_fiber_polyhedron builds the positive fiber in the exponent lattice by
+# one run of its own, not in the recipe's ker pi coordinates.  The recipe
+# tests in test_chow and the workflow's Gr(2,7) step compare against it.
+
+
+def ref_fiber_polyhedron(pi, c) -> Polyhedron:
+    """pi^{-1}(c) ∩ nonnegative orthant in the domain of pi."""
+    d = pi.cols
+    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    ineqs = [(u, 0) for u in unit]
+    eqs = [(row, c[i]) for i, row in enumerate(pi.entries)]
+    return Polyhedron.from_halfspaces(pi.domain, d, ineqs, eqs)
+
 
 def test_image_identity_and_empty():
     p = poly_V([(0, 1), (1, 0)], rays=[(1, 1)])
@@ -297,7 +282,7 @@ def test_image_projection_of_boundary_face():
 
 def test_fiber_point():
     pi = LatticeMap(((1, 0), (0, 1)), "E", "N")
-    f = fiber_polyhedron(pi, (1, 1))
+    f = ref_fiber_polyhedron(pi, (1, 1))
     assert f.vertices == ((F(1), F(1)),) and f.rays == ()
 
 
@@ -311,7 +296,7 @@ def test_fiber_properties_randomized():
             continue
         done += 1
         c = (rng.randint(-2, 2), rng.randint(-2, 2))
-        f = fiber_polyhedron(pi, c)
+        f = ref_fiber_polyhedron(pi, c)
         if f.empty:
             continue
         for v in f.vertices:
@@ -1237,7 +1222,11 @@ def test_certificate_on_cones():
     d = cones[0].dim_ambient
     assert _tiles(cones, d)
     assert not _tiles(cones[1:], d)                   # a hole
-    assert not _tiles(cones + [cones[0].dual()], d)   # not a tiling
+    # the positive orthant overlaps four of the cones: not a tiling
+    orthant = Cone.from_rays(cones[0].ambient, d, [tuple(int(i == j) for j in range(d))
+                                                   for i in range(d)])
+    assert sum(c.intersect(orthant).dim == d for c in cones) == 4
+    assert not _tiles(cones + [orthant], d)
     # the upper half-plane over two quadrants: facets do not match
     up = Cone.from_rays("A", 2, [(0, 1)], [(1, 0)])
     q3 = Cone.from_rays("A", 2, [(-1, 0), (0, -1)])
