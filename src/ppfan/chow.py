@@ -139,12 +139,16 @@ class RecipeDivisor:
 
 def _integer_ray(c):
     """`c` as a tuple of ints; ints and integral Fractions pass, anything else
-    (floats, bools, proper fractions) is a ValueError naming the ray."""
+    (floats, bools, proper fractions) is a ValueError naming the ray, and so
+    is the zero vector, which spans no ray and gives no prime divisor."""
     c = tuple(c)
     if not all((isinstance(x, int) and not isinstance(x, bool))
                or (isinstance(x, Fraction) and x.denominator == 1) for x in c):
         raise ValueError(f"ray {c!r} must have integer entries")
-    return tuple(int(x) for x in c)
+    c = tuple(int(x) for x in c)
+    if not any(c):
+        raise ValueError(f"ray {c!r} is the zero vector, which spans no ray")
+    return c
 
 
 def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, labels=None,

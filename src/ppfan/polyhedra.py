@@ -18,8 +18,8 @@ A conversion between the two descriptions is one run of the double
 description kernel (``ppfan.dd.dd_pair``); the description that run does not
 compute is read off the incidence between the rays it finds and the input
 rows.  Faces (`face_minimizing`), tail cones (`Polyhedron.tail_cone`) and
-facets (`Cone.facets`, the walls crossed by `common_refinement_fan`) need no
-run: they are read the same way (``ppfan.dd.from_incidence``) off the
+facets (`Cone.facets`) need no run: they are read the same way
+(``ppfan.dd.from_incidence``) off the
 incidence of the object's own generators with its own rows, which is cached
 on the instance.  Translates (`Polyhedron.translate`), a cone as a
 polyhedron (`Cone.to_polyhedron`) and images under maps injective on the
@@ -910,8 +910,17 @@ class RefinementGuardExceeded(RuntimeError):
     pass
 
 
-# a generic point near p is searched at distances 2^-j for j below this bound
-_MAX_HALVINGS = 200
+def _perturbed_sign(h, p, d):
+    """Sign of h.y(eps) for all small eps > 0, y(eps) = p + eps d + eps^2 (1, eps, ..., eps^(r-1)).
+
+    h.y(eps) = h.p + (h.d) eps + h_0 eps^2 + ... + h_(r-1) eps^(r+1) has the
+    sign of its first nonzero coefficient (Edelsbrunner & Mücke, *Simulation
+    of Simplicity*); one exists unless h = 0, which is a ValueError.
+    """
+    c = dot(h, p) or dot(h, d) or next((x for x in h if x), 0)
+    if not c:
+        raise ValueError("the zero row has no sign")
+    return 1 if c > 0 else -1
 
 
 def common_refinement_fan(pi, max_chambers=10000) -> Fan:
@@ -925,25 +934,37 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
     sigma_S are those of M_S^-1 (M_S the columns in S), made primitive: S is
     a basis iff one elimination of (M_S | I) has r pivots, and then its right
     half holds positive multiples of them.  Chambers are labelled with the
-    sorted tuple of their bases, read off the wall values of the genericity
-    test, and found by a breadth-first walk from one generic point across
+    sorted tuple of their bases, and found by a breadth-first walk across
     every facet not on the support's boundary (Keicher, *Computing the
     GIT-fan*): one double description run per chamber, one for the support.
 
-    A step across the facet f = c ∩ {a = 0} of a chamber c ⊆ {a >= 0} finds a
-    chamber d that is full-dimensional, contains f and lies in {a <= 0} (a.g
-    <= 0 on its rays, a.l = 0 on its lineality).  This is c ∩ d = f, with no
-    intersection: if d ⊆ {a <= 0}, c ∩ d ⊆ c ∩ {a = 0} = f ⊆ c ∩ d; if g in d
-    has a.g > 0, p + eps*g is in d and inside c, for p in the relative
-    interior of f and small eps > 0.  ValueError if max_chambers < 1, and
-    RefinementGuardExceeded once the walk finds more than that many chambers.
+    The label at (p, d) is that of y(eps) = p + eps d + eps^2 (1, eps, ...,
+    eps^(r-1)) for all small eps > 0, which is off every wall: the bases
+    whose rows all have `_perturbed_sign` 1.  The walk starts at p the sum
+    of the first basis' columns, interior to the support, and d = 0.  The
+    step across the facet f = c ∩ {a = 0} of a chamber c ⊆ {a >= 0} takes p
+    the sum of c's rays on f and d = -a, and the chamber c' of that label is
+    the one across f:
+    - p is in the relative interior of f, as the sum of f's extreme rays;
+    - f, on no facet row of the support, is interior to it: a facet row b of
+      the support vanishing at p is >= 0 on c, so vanishes on f, and b = a;
+    - so y(eps) is in the support and in {a < 0} (a.y(eps) = -|a|^2 eps +
+      O(eps^2)), and c' is full-dimensional and contains p;
+    - in a fan one full-dimensional cell lies on the far side of a facet:
+      c ∩ c' is a face of c holding p, and not c, so it is f; f is then a
+      face of c' on a = 0, and c' has points in {a < 0}, so c' ⊆ {a <= 0}.
+    Each step checks, cheaply, that c' is full-dimensional, contains f's
+    rays and lineality and has none of its own in {a > 0}.  That is c ∩ c'
+    = f: if c' ⊆ {a <= 0}, c ∩ c' ⊆ c ∩ {a = 0} = f ⊆ c ∩ c'.  ValueError
+    if max_chambers < 1, and RefinementGuardExceeded once the walk finds
+    more than that many chambers.
     """
     if max_chambers < 1:
         raise ValueError(f"max_chambers must be at least 1, got {max_chambers}")
     name, r = pi.codomain, pi.rows
     cols = [pi.column(j) for j in range(pi.cols)]
     eye = [tuple(int(i == k) for k in range(r)) for i in range(r)]
-    walls = {}  # sign-canonical facet row -> its index among the wall values
+    walls = {}  # sign-canonical facet row -> its index among the wall signs
     bases = []  # (S, facet rows of sigma_S, (wall index, sign) of each row)
     for S in combinations(range(pi.cols), r):
         work, pivots = rref([tuple(cols[j][i] for j in S) + eye[i] for i in range(r)], r)
@@ -962,33 +983,27 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
             cache[label] = Cone.from_ineqs(name, r, sorted(rows))
         return cache[label]
 
-    def generic_near(p, d):
-        # p + eps*d + eps^2*(1, eps, eps^2, ...) at eps = 2^-j, scaled by
-        # 2^(j(r+1)) to integers: off every wall for all but finitely many
-        # eps, and on the d side of p for small eps; yields it with its label
-        for j in range(_MAX_HALVINGS):
-            y = tuple((x << j * (r + 1)) + (dx << j * r) + (1 << j * (r - 1 - i))
-                      for i, (x, dx) in enumerate(zip(p, d)))
-            vals = [dot(h, y) for h in walls]
-            if all(vals):
-                yield y, tuple(S for S, _, keys in bases if all(s * vals[k] > 0 for k, s in keys))
+    def label_at(p, d):
+        signs = [_perturbed_sign(h, p, d) for h in walls]
+        return tuple(S for S, _, keys in bases if all(signs[k] == s for k, s in keys))
 
     def across(label, a, mask):
         # the chamber on the other side of the facet of chamber `label` on a.x = 0,
         # whose rays are those in `mask`
-        facet = cache[label]._face(mask)
-        for y, nxt in generic_near(facet.relative_interior_point(), neg(a)):
-            if nxt and dot(a, y) < 0:
-                d = chamber(nxt)
-                if (d.dim == r and d.contains_cone(facet) and all(dot(a, g) <= 0 for g in d.rays)
-                        and not any(dot(a, l) for l in d.lineality)):
-                    return nxt
-        raise AssertionError(f"no chamber across the facet with rays {facet.rays}")
+        c = cache[label]
+        on = [g for i, g in enumerate(c.rays) if mask >> i & 1]
+        nxt = label_at(tuple(sum(g[i] for g in on) for i in range(r)), neg(a))
+        far = chamber(nxt) if nxt else None
+        facet = on + list(c.lineality) + [neg(l) for l in c.lineality]
+        if (far is None or far.dim != r or not all(far.contains(g) for g in facet)
+                or any(dot(a, g) > 0 for g in far.rays) or any(dot(a, l) for l in far.lineality)):
+            raise AssertionError(f"no chamber across the wall {a} of chamber {label}")
+        return nxt
 
     start = tuple(sum(cols[j][i] for j in bases[0][0]) for i in range(r))
-    first = next(label for _, label in generic_near(start, (0,) * r) if label)
-    if chamber(first).dim != r:
-        raise AssertionError(f"starting chamber has dimension {chamber(first).dim} < {r}")
+    first = label_at(start, (0,) * r)
+    if not first or chamber(first).dim != r:
+        raise AssertionError(f"no full-dimensional chamber at the interior point {start}")
     found = {first: None}  # insertion-ordered set
     queue = deque(found)
     crossed = set()  # (chamber label, facet row) pairs already walked

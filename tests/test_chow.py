@@ -339,6 +339,14 @@ def test_recipe_rejects_non_integer_rays(rays):
         pp_from_weights(setup, rays=rays)
 
 
+@pytest.mark.parametrize("zero", [(0,), (F(0),)], ids=["int", "fraction"])
+def test_recipe_rejects_zero_ray(zero):
+    # the zero vector spans no ray, so it labels no prime divisor
+    setup = weighted_line_setup(*CASES[0])
+    with pytest.raises(ValueError, match=r"ray \(0,\) is the zero vector"):
+        pp_from_weights(setup, rays=[(1,), zero])
+
+
 def test_recipe_accepts_integral_fraction_rays():
     setup = weighted_line_setup(*CASES[0])
     recipe = pp_from_weights(setup, rays=[(F(1),), (F(-2, 2),)])

@@ -205,7 +205,8 @@ def test_output_is_deterministic(capsys):
     ([[True], [-1]], "True"),
     ([[1, 0], [-1]], "[1, 0]"),
     ([], "nonempty"),
-], ids=["float", "bool", "wrong-length", "empty"])
+    ([[0], [1]], "(0,) is the zero vector"),
+], ids=["float", "bool", "wrong-length", "empty", "zero"])
 def test_bad_ray_file_exit_2(capsys, tmp_path, weights_file, rays, needle):
     bad = tmp_path / "rays.json"
     bad.write_text(json.dumps(rays))

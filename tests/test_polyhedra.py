@@ -21,6 +21,7 @@ from ppfan.polyhedra import (
     RefinementGuardExceeded,
     Subdivision,
     _cone_leq,
+    _perturbed_sign,
     _subset_of,
     _tiles,
     common_refinement_fan,
@@ -395,19 +396,72 @@ def test_refinement_guard_below_one_refused(bound):
 def test_refinement_runs_one_dd_per_chamber(monkeypatch, weights, chambers):
     # points on a line and the Gr(2,5) weights e_i + e_j: one run from scratch
     # per chamber and one for the support, as a wall is crossed by a half-space
-    # test, with no intersection
+    # test, with no intersection; and one incidence read-off per run, as no
+    # facet is built to cross it
     from ppfan.chow import build_setup
     pi = build_setup(LatticeMap(tuple(zip(*weights)), "E", "M")).pi
-    fresh, resumed = [], []
-    real_process = dd.process
+    fresh, resumed, read = [], [], []
+    real_process, real_from_incidence = dd.process, dd.from_incidence
 
     def counting(dim, constraints, start=None):
         (fresh if start is None else resumed).append(dim)
         return real_process(dim, constraints, start)
 
+    def counting_read(*args):
+        read.append(args[0])
+        return real_from_incidence(*args)
+
     monkeypatch.setattr(dd, "process", counting)
+    # `dd_pair` calls it through `dd`, `Cone._face` through its import in `polyhedra`
+    monkeypatch.setattr(dd, "from_incidence", counting_read)
+    monkeypatch.setattr("ppfan.polyhedra.from_incidence", counting_read)
     assert len(common_refinement_fan(pi).maximal) == chambers
     assert (len(fresh), len(resumed)) == (chambers + 1, 0)
+    assert len(read) == chambers + 1
+
+
+@st.composite
+def perturbed_sign_cases(draw):
+    # a row h != 0, a point p and a direction d, with h.p = 0 or h.p = h.d = 0
+    # drawn on purpose: p and d are moved onto h's hyperplane
+    r = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-5, 5), min_size=r, max_size=r)
+    h = draw(vec.filter(any))
+    p, d = draw(vec), draw(vec)
+    hh = _dot(h, h)
+
+    def onto(v):
+        # hh v - (h.v) h, on h's hyperplane
+        hv = _dot(h, v)
+        return [hh * x - hv * y for x, y in zip(v, h)]
+
+    tie = draw(st.sampled_from(["none", "p", "p and d"]))
+    if tie != "none":
+        p = onto(p)
+    if tie == "p and d":
+        d = onto(d)
+    return tuple(h), tuple(p), tuple(d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(perturbed_sign_cases())
+def test_perturbed_sign_is_the_sign_for_small_eps(case):
+    # h.y(eps) for y(eps) = p + eps d + eps^2 (1, eps, ..., eps^(r-1)) in exact
+    # rationals, at eps = 1/(2 + 2M), M the largest |coefficient| of the
+    # polynomial in eps: the first nonzero coefficient c then outweighs the
+    # rest, sum of M eps^k over k >= 1 < |c|
+    h, p, d = case
+    coeffs = [_dot(h, p), _dot(h, d), *h]
+    eps = F(1, 2 + 2 * max(map(abs, coeffs)))
+    y = [x + eps * dx + eps ** (2 + i) for i, (x, dx) in enumerate(zip(p, d))]
+    value = _dot(h, y)
+    assert value != 0
+    assert _perturbed_sign(h, p, d) == (1 if value > 0 else -1)
+
+
+def test_perturbed_sign_refuses_the_zero_row():
+    with pytest.raises(ValueError, match="zero row"):
+        _perturbed_sign((0, 0), (1, 2), (3, 4))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
