@@ -200,7 +200,7 @@ def pp_from_weights(setup: WeightSetup, rays=None, retraction=None, emb=None, la
         if retraction is not None:
             # + r(x0), as the homogeneous point (q r(x0), q)
             coeff = replace(coeff, ambient=retr.codomain)._translate_hom(
-                mat_vec(retr.homogenised.rows, scale_to_int(tuple(x0) + (1,))))
+                mat_vec(retr.homogenised, scale_to_int(tuple(x0) + (1,))))
         terms.append((label, coeff))
         aligned.append((label, c, x0))
     div = PPDivisor(retr.codomain, retr.rows, tail, tuple(terms))
@@ -261,7 +261,7 @@ def projectivize(setup: WeightSetup, recipe: RecipeDivisor, cell_labels=None,
     e_dir = scale_to_int(e)
     col = LatticeMap(tuple((x,) for x in e_dir), "degree-axis", ambient)
     p = quotient_projection(col, name=target or f"{ambient}/deg")
-    hom_p = p.homogenised.rows
+    hom_p = p.homogenised
     tail_poly = recipe.divisor.tail.to_polyhedron()
     empty = Polyhedron.empty_in(p.codomain, p.rows)
     # the v-th boundary face at a fiber is empty iff x_v > 0 on the whole fiber

@@ -9,8 +9,8 @@ that one name to see every run, and turns its output into the canonical
 description; `Polyhedron.with_vertex` resumes it through the same global.
 `dd_pair` gives both canonical descriptions from one run: the second is
 read off the incidence between the computed rays and the input rows by
-`from_incidence`.  The same routine gives faces, tail cones and facets of a
-polyhedron or cone that is already canonical, from the incidence of its own
+`from_incidence`.  The same routine gives faces and tail cones of a
+polyhedron that is already canonical, from the incidence of its own
 generators with its own rows, with no run at all.
 """
 

@@ -345,7 +345,7 @@ def partition_ray(n, part):
 
 def _retracted(setup, v):
     """r(v) for the retraction r, as the homogeneous integer point (q r(v), q)."""
-    return mat_vec(setup.retraction.homogenised.rows, tuple(v) + (1,))
+    return mat_vec(setup.retraction.homogenised, tuple(v) + (1,))
 
 
 def positive_fiber_part(n, part) -> Polyhedron:

@@ -9,10 +9,12 @@ Matrices are tuples of row tuples and act on column vectors: the matrix of
 All integer arithmetic is arbitrary precision, rationals are
 ``fractions.Fraction`` (always in lowest terms by construction).  Matrix
 entries are ints or Fractions; a float is a ValueError, never rounded.
-`matrix_rank`, `rational_solve`, `rational_left_inverse` and `homogenise`
-read the integer rows of the one fraction-free elimination `_vecops.rref`;
-the middle two make their Fractions in a final division by each row's pivot
-entry.
+`matrix_rank`, `rational_solve` and `rational_left_inverse` read the integer
+rows of the one fraction-free elimination `_vecops.rref`; the last two make
+their Fractions in a final division by each row's pivot entry.  `homogenise`
+needs no elimination: it scales a map to integer rows on homogeneous
+coordinates, and `polyhedra.linear_image` takes an image as one double
+description run on the generators sent through those rows.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from ._vecops import dot, frac_str, primitive, rref
+from ._vecops import dot, frac_str, rref
 
 
 def identity_matrix(n):
@@ -254,7 +256,11 @@ class RationalMap:
 
     @cached_property
     def homogenised(self):
-        """`homogenise` of this map, computed on first use; not a field."""
+        """`homogenise` of this map, computed on first use; not a field.
+
+        The integer rows on homogeneous coordinates through which
+        `polyhedra.map_image` sends a polyhedron's generators.
+        """
         return homogenise(self.entries, self.cols)
 
     def to_json(self):
@@ -277,55 +283,15 @@ class LatticeMap(RationalMap):
         return tuple(r[j] for r in self.entries)
 
 
-@dataclass(frozen=True)
-class Homogenised:
-    """A rational map x -> A x as integer data on homogeneous coordinates (x, x0).
-
-    `rows` is q*(A, 0) with the row (0, ..., 0, q) appended, q > 0 the common
-    denominator of A: a positive multiple of the homogenised map.  `kernel`
-    is an integer basis of its kernel (ker A with x0 = 0).  `pullback` is an
-    integer left inverse of the transpose of `rows` up to one positive
-    factor c, on the row space: for a form h that vanishes on the kernel,
-    h' = pullback @ h has h' ∘ rows = c*h.  `cokernel` spans the forms that
-    vanish on the image of `rows`.
-    """
-
-    rows: tuple
-    kernel: tuple
-    pullback: tuple
-    cokernel: tuple
-
-
 def homogenise(entries, width):
-    """The `Homogenised` data of the rational matrix `entries` on Q^width.
+    """The rational matrix `entries` on Q^width as integer rows on (x, x0).
 
-    One elimination of the rows of the homogenised map, each augmented by a
-    unit vector, gives all of it: a pivot row (w | t) has w = t @ rows, so
-    pivot column c of a form h contributes h[c] / w[c] * t to h'; the rows
-    with w = 0 give the cokernel; each free column gives a kernel vector.
+    q*(A, 0) with the row (0, ..., 0, q) appended, q > 0 the common
+    denominator of A: a positive multiple of the homogenised map x -> A x.
     """
     q = lcm(*(x.denominator for row in entries for x in row))
-    rows = tuple(tuple(x.numerator * (q // x.denominator) for x in row) + (0,)
+    return tuple(tuple(x.numerator * (q // x.denominator) for x in row) + (0,)
                  for row in entries) + ((0,) * width + (q,),)
-    m = len(rows)
-    work, pivots = rref([r + tuple(int(j == i) for j in range(m)) for i, r in enumerate(rows)],
-                        width + 1)
-    pv = [work[i][c] for i, c in enumerate(pivots)]
-    den = lcm(*pv)
-    pullback = [[0] * (width + 1) for _ in range(m)]
-    for row, c, p in zip(work, pivots, pv):
-        for j, t in enumerate(row[width + 1:]):
-            pullback[j][c] = den // p * t
-    kernel = []
-    for f in range(width):
-        if f not in pivots:
-            k = [0] * (width + 1)
-            k[f] = den
-            for row, c, p in zip(work, pivots, pv):
-                k[c] = -row[f] * (den // p)
-            kernel.append(primitive(k))
-    return Homogenised(rows, tuple(kernel), tuple(map(tuple, pullback)),
-                       tuple(row[width + 1:] for row in work[len(pivots):]))
 
 
 def _int_kernel_rows(matrix, ncols):

@@ -17,18 +17,17 @@ support, found by walking from chamber to chamber.
 A conversion between the two descriptions is one run of the double
 description kernel (``ppfan.dd.dd_pair``); the description that run does not
 compute is read off the incidence between the rays it finds and the input
-rows.  Faces (`face_minimizing`), tail cones (`Polyhedron.tail_cone`) and
-facets (`Cone.facets`) need no run: they are read the same way
-(``ppfan.dd.from_incidence``) off the
-incidence of the object's own generators with its own rows, which is cached
-on the instance.  Translates (`Polyhedron.translate`), a cone as a
-polyhedron (`Cone.to_polyhedron`) and images under maps injective on the
-affine hull (`linear_image`) need no run either: they carry the canonical
-data over, the last one through the map's `lattice.Homogenised` data.  Nor
-does the convex hull with one more vertex (`Polyhedron.with_vertex`): it is
-one step of the kernel resumed from the cached incidence, the polar cone's
-minimal system, instead of a run from the whole space.  A cone plus the hull
-of points (`Polyhedron._plus_hull`) is such steps and one translate.
+rows.  Faces (`face_minimizing`) and tail cones (`Polyhedron.tail_cone`)
+need no run: they are read the same way (``ppfan.dd.from_incidence``) off
+the incidence of the object's own generators with its own rows, which is
+cached on the instance.  Translates (`Polyhedron.translate`) and a cone as
+a polyhedron (`Cone.to_polyhedron`) need no run either: they carry the
+canonical data over.  Nor does the convex hull with one more vertex
+(`Polyhedron.with_vertex`): it is one step of the kernel resumed from the
+cached incidence, the polar cone's minimal system, instead of a run from
+the whole space.  A cone plus the hull of points (`Polyhedron._plus_hull`)
+is such steps and one translate.  An image under a linear map
+(`linear_image`) is one run on the images of the generators.
 Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
@@ -54,7 +53,7 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from ._vecops import (dot, frac_str, is_zero, neg, primitive, ratio_str, reduce_mod_rows,
+from ._vecops import (dot, frac_str, neg, primitive, ratio_str, reduce_mod_rows,
                       rref, rref_primitive, scale_to_int, sign_canonical)
 from . import dd
 from .dd import dd_pair, from_incidence, tight_masks
@@ -139,21 +138,6 @@ class Cone:
     def _incidence(self):
         """(row, bitmask of the rays it is tight on) for each facet row; not a field."""
         return tuple(zip(self.ineqs, tight_masks(self.ineqs, self.rays)))
-
-    def _face(self, sel):
-        """The face spanned by the rays in the bitmask `sel` and the lineality.
-
-        Read off the incidence by `dd.from_incidence`, without double
-        description; `sel` must be the mask of a face (of a facet row, say).
-        """
-        rays = tuple(r for i, r in enumerate(self.rays) if sel >> i & 1)
-        ineqs, eqs = from_incidence(self.dim_ambient,
-                                    ((a, m & sel) for a, m in self._incidence), sel, self.eqs)
-        return Cone(self.ambient, self.dim_ambient, rays, self.lineality, ineqs, eqs)
-
-    def facets(self):
-        """The facets, one per facet row, in the order of `ineqs`."""
-        return [self._face(m) for _, m in self._incidence]
 
     def interior_dual_vector(self):
         """An integer form strictly positive on the cone away from its lineality."""
@@ -598,24 +582,13 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 def linear_image(p: Polyhedron, entries, codomain, dim_codomain, hom=None) -> Polyhedron:
     """Image of p under the (rational) matrix acting on column vectors.
 
-    Every row of the matrix must have width p.dim_ambient.  When the map is
-    injective on p's affine hull, the image's canonical form is read off
-    p's, with no double description.  Homogenised, the map (`Homogenised`)
-    sends the span of p's homogenisation cone C isomorphically onto the span
-    of the image cone, so extreme rays, lineality and facets correspond one
-    to one: the extreme rays are the images of C's (reduced modulo the
-    image's lineality), and a facet row h of C, once it is made to vanish on
-    the kernel K by adding equations of C, is h' ∘ map for one form h' up to
-    the image's equations, and h' cuts out the image facet.  Injectivity is
-    K ∩ span C = 0, that is: the rows (e·K | e) over C's equations e have
-    rank dim K.  The same elimination makes the facet rows vanish on K.  Its
-    rows that already vanish on K, pulled back, and the forms that vanish on
-    the map's image span the image's equations.
-
-    A map that is not injective on the hull goes through one double
-    description run on the images of p's generators.  `hom` is the map's
-    `Homogenised` data when the caller keeps it (`map_image` does); it is
-    computed here otherwise.
+    Every row of the matrix must have width p.dim_ambient.  The image is one
+    double description run on the images of p's generators: each homogeneous
+    vertex, ray and lineality vector goes through the map's integer rows on
+    homogeneous coordinates, is made primitive, and the rays and lineality
+    vectors the map sends to zero are dropped.  `hom` is those rows
+    (`lattice.homogenise`) when the caller keeps them (`map_image` does); they
+    are computed here otherwise.
     """
     for row in entries:
         if len(row) != p.dim_ambient:
@@ -627,34 +600,17 @@ def linear_image(p: Polyhedron, entries, codomain, dim_codomain, hom=None) -> Po
         return Polyhedron.empty_in(codomain, dim_codomain)
     if hom is None:
         hom = homogenise(entries, p.dim_ambient)
-    verts, rays, lin = ([mat_vec(hom.rows, g) for g in gens] for gens in p._hom_gens)
-    k = len(hom.kernel)
-
-    def on_kernel(row):
-        return tuple(dot(row, c) for c in hom.kernel) + row
-
-    work, pivots = rref([on_kernel(e) for e in p._hom_rows[1]], k)
-    if len(pivots) < k:
-        # a kernel direction along the hull: one run on the images
-        rays = [primitive(r[:-1]) for r in rays]
-        lin = [primitive(l[:-1]) for l in lin]
-        return _from_hom_generators(codomain, dim_codomain, [primitive(v) for v in verts],
-                                    [r for r in rays if not is_zero(r)],
-                                    [l for l in lin if not is_zero(l)])
-    lin = rref_primitive(lin, dim_codomain + 1)
-    eqs = rref_primitive([mat_vec(hom.pullback, e[k:]) for e in work[k:]] + list(hom.cokernel),
-                         dim_codomain + 1)
-    facets = [reduce_mod_rows(mat_vec(hom.pullback, reduce_mod_rows(on_kernel(a), work[:k])[k:]),
-                              eqs)
-              for a in p._hom_rows[0]]
-    return _poly_from_cone(codomain, dim_codomain,
-                           [reduce_mod_rows(g, lin) for g in verts + rays], lin, facets, eqs)
+    verts, rays, lin = ([primitive(mat_vec(hom, g)) for g in gens] for gens in p._hom_gens)
+    # rays and lineality keep x0 = 0 under the map; a zero image is no generator
+    return _from_hom_generators(codomain, dim_codomain, verts,
+                                [r[:-1] for r in rays if any(r)], [l[:-1] for l in lin if any(l)])
 
 
 def map_image(p: Polyhedron, f) -> Polyhedron:
     """linear_image with domain/codomain tags taken from a LatticeMap/RationalMap.
 
-    The map's `Homogenised` data is computed once and kept on the map.
+    The map's integer rows on homogeneous coordinates are computed once and
+    kept on the map (`RationalMap.homogenised`).
     """
     if f.domain != p.ambient:
         raise LatticeMismatch(f"map domain {f.domain!r} does not match {p.ambient!r}")

@@ -345,11 +345,11 @@ def test_routes_run_double_description_only_where_needed(monkeypatch):
     # closed form: one run from scratch per tail cone (10) and one resumed
     # one-constraint step per segment coefficient (60, `_plus_hull`);
     # one-vertex coefficients are translates of the tail.  Recipe: one run
-    # per fiber in the coordinates of ker pi (10, dimension n + 1 = 6) and
-    # one for the tail (dimension n = 5), and one step per projected
-    # boundary face with two minimising vertices (60); every image is read
-    # off canonical data.  The fiber cache is cleared so that the count is
-    # the cold one.
+    # per fiber in the coordinates of ker pi (10, dimension n + 1 = 6), one
+    # for the tail (dimension n = 5) and one per image of a tail face along
+    # the degree direction (10, dimension 5), and one step per projected
+    # boundary face with two minimising vertices (60).  The fiber cache is
+    # cleared so that the count is the cold one.
     import ppfan.dd as dd
     from ppfan.chow import positive_fiber
 
@@ -371,8 +371,8 @@ def test_routes_run_double_description_only_where_needed(monkeypatch):
     resumed.clear()
     positive_fiber.cache_clear()
     fansy_via_recipe(5, verify=False)
-    assert (len(fresh), len(resumed)) == (11, 60)
-    assert sorted(fresh) == [5] + [6] * 10
+    assert (len(fresh), len(resumed)) == (21, 60)
+    assert sorted(fresh) == [5] * 11 + [6] * 10
 
 
 def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
