@@ -35,7 +35,7 @@ def process(dim, constraints, start=None):
         vecs, zsets, lin = list(vecs), list(zsets), list(lin)
 
     for a, is_eq in constraints:
-        if all(x == 0 for x in a):
+        if not any(a):
             continue
         lvals = [dot(a, l) for l in lin]
         p = next((i for i, v in enumerate(lvals) if v != 0), None)
@@ -68,9 +68,9 @@ def process(dim, constraints, start=None):
             continue
 
         vals = [dot(a, r) for r in vecs]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        negi = [i for i, v in enumerate(vals) if v < 0]
+        pos, zero, negi = [], [], []
+        for i, v in enumerate(vals):
+            (pos if v > 0 else negi if v else zero).append(i)
         if not is_eq and not negi:
             bit = 1 << nbit
             zsets = [z | bit if v == 0 else z for z, v in zip(zsets, vals)]
@@ -97,7 +97,7 @@ def process(dim, constraints, start=None):
                     continue
                 vj = vals[j]
                 rj = vecs[j]
-                w = primitive(tuple(vi * x - vj * y for x, y in zip(rj, ri)))
+                w = primitive([vi * x - vj * y for x, y in zip(rj, ri)])
                 combo_v.append(w)
                 combo_z.append(m)
 

@@ -6,7 +6,9 @@ whole space, or a cone whose minimal system it is given, with one row at a
 time and returns raw rays, lineality and tight sets.  `dd_cone` calls it
 through this module's global `process`, so a test or a tracer can rebind
 that one name to see every run, and turns its output into the canonical
-description; `Polyhedron.with_vertex` resumes it through the same global.
+description.  `Polyhedron.with_vertex` (the hull with one more vertex)
+and each chamber of `polyhedra.common_refinement_fan` (from one of its
+simplicial basis cones) resume it through the same global.
 `dd_pair` gives both canonical descriptions from one run: the second is
 read off the incidence between the computed rays and the input rows by
 `from_incidence`.  The same routine gives faces and tail cones of a
@@ -77,8 +79,12 @@ def from_incidence(dim, incidence, full, eqs):
         if not is_zero(a):
             masks.setdefault(tuple(a), m)
     equations = rref_primitive(list(eqs) + [a for a, m in masks.items() if m == full], dim)
-    proper = {m for m in masks.values() if m != full}
-    maximal = {m for m in proper if not any(m != n and m & n == m for n in proper)}
+    # a mask is only contained in masks with more bits, visited before it, and
+    # each of those lies in a maximal one kept already: O(masks * facets)
+    maximal = []
+    for m in sorted({m for m in masks.values() if m != full}, key=int.bit_count, reverse=True):
+        if not any(m & n == m for n in maximal):
+            maximal.append(m)
     # rows with the same maximal mask define the same facet: reduce one of them
     facet_rows = {m: a for a, m in masks.items() if m in maximal}
     facets = [reduce_mod_rows(a, equations) for a in facet_rows.values()]

@@ -27,7 +27,9 @@ canonical data over.  Nor does the convex hull with one more vertex
 cached incidence, the polar cone's minimal system, instead of a run from
 the whole space.  A cone plus the hull of points (`Polyhedron._plus_hull`)
 is such steps and one translate.  An image under a linear map
-(`linear_image`) is one run on the images of the generators.
+(`linear_image`) is one run on the images of the generators.  A chamber of
+the quotient fan is one run resumed from a simplicial cone whose minimal
+system is known, its facets read off the tight sets that run returns.
 Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
@@ -894,6 +896,19 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
     every facet not on the support's boundary (Keicher, *Computing the
     GIT-fan*): one double description run per chamber, one for the support.
 
+    A chamber lies in sigma_S0 for the first basis S0 of its label, so its
+    run resumes from sigma_S0's minimal system instead of the whole space
+    (Fukuda & Prodon, *Double description method revisited*): sigma_S0 is
+    pointed with the extreme rays col_j, j in S0, made primitive, and as
+    row_i . col_(S0[k]) = c_i delta_ik with c_i > 0, the k-th ray is tight
+    on every row of S0 but the k-th.  The run adds the other bases' rows,
+    and its tight sets, transposed, give each row's mask of the sorted
+    rays, from which `from_incidence` reads the facets.  A chamber is
+    full-dimensional (its label's cones all hold y(eps) below in their
+    interiors), so its facets are rows of the run and their masks are its
+    `_incidence`.  The rays need no reduction: there is no lineality in a
+    cone inside the pointed sigma_S0.
+
     The label at (p, d) is that of y(eps) = p + eps d + eps^2 (1, eps, ...,
     eps^(r-1)) for all small eps > 0, which is off every wall: the bases
     whose rows all have `_perturbed_sign` 1.  The walk starts at p the sum
@@ -921,27 +936,37 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
     cols = [pi.column(j) for j in range(pi.cols)]
     eye = [tuple(int(i == k) for k in range(r)) for i in range(r)]
     walls = {}  # sign-canonical facet row -> its index among the wall signs
-    bases = []  # (S, facet rows of sigma_S, (wall index, sign) of each row)
+    bases = {}  # S -> (facet rows of sigma_S, their wall indices, their signs there)
     for S in combinations(range(pi.cols), r):
         work, pivots = rref([tuple(cols[j][i] for j in S) + eye[i] for i in range(r)], r)
         if len(pivots) == r:
             rows = tuple(primitive(w[r:]) for w in work)
-            bases.append((S, rows, [(walls.setdefault(sign_canonical(a), len(walls)),
-                                     1 if sign_canonical(a) == a else -1) for a in rows]))
+            bases[S] = (rows, tuple(walls.setdefault(sign_canonical(a), len(walls)) for a in rows),
+                        tuple(1 if sign_canonical(a) == a else -1 for a in rows))
     if not bases:
         raise ValueError(f"pi has rank {pi.rank()} < {r} rows: no full-dimensional chambers")
     support = Cone.from_rays(name, r, cols)
     cache = {}
+    tight = [((1 << r) - 1) ^ (1 << k) for k in range(r)]  # ray k of sigma_S on row i iff i != k
 
     def chamber(label):
         if label not in cache:
-            rows = {a for S, rs, _ in bases if S in label for a in rs}
-            cache[label] = Cone.from_ineqs(name, r, sorted(rows))
+            own = bases[label[0]][0]
+            rows = list(own) + sorted({a for S in label[1:] for a in bases[S][0]} - set(own))
+            vecs, _, zsets = dd.process(r, [(a, False) for a in rows[r:]],
+                                        ([primitive(cols[j]) for j in label[0]], tight, (), r))
+            gens = sorted(zip(vecs, zsets))
+            masks = {a: sum(1 << i for i, (_, z) in enumerate(gens) if z >> b & 1)
+                     for b, a in enumerate(rows)}
+            ineqs, eqs = from_incidence(r, masks.items(), (1 << len(gens)) - 1, ())
+            c = cache[label] = Cone(name, r, tuple(v for v, _ in gens), (), ineqs, eqs)
+            c.__dict__["_incidence"] = tuple((a, masks[a]) for a in ineqs)  # read next by the walk
         return cache[label]
 
     def label_at(p, d):
         signs = [_perturbed_sign(h, p, d) for h in walls]
-        return tuple(S for S, _, keys in bases if all(signs[k] == s for k, s in keys))
+        return tuple(S for S, (_, idx, want) in bases.items()
+                     if tuple(map(signs.__getitem__, idx)) == want)
 
     def across(label, a, mask):
         # the chamber on the other side of the facet of chamber `label` on a.x = 0,
@@ -956,7 +981,7 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
             raise AssertionError(f"no chamber across the wall {a} of chamber {label}")
         return nxt
 
-    start = tuple(sum(cols[j][i] for j in bases[0][0]) for i in range(r))
+    start = tuple(sum(cols[j][i] for j in next(iter(bases))) for i in range(r))
     first = label_at(start, (0,) * r)
     if not first or chamber(first).dim != r:
         raise AssertionError(f"no full-dimensional chamber at the interior point {start}")

@@ -149,3 +149,24 @@ def test_process_resumes_where_it_stopped(system, data):
     rays, lin, zsets = process(d, constraints[:k])
     nbit = sum(1 for a, is_eq in constraints[:k] if not is_eq and any(a))
     assert process(d, constraints[k:], (rays, zsets, lin, nbit)) == process(d, constraints)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6), st.data())
+def test_from_incidence_keeps_the_maximal_masks(g, data):
+    # the facets are the rows whose masks are inclusion-maximal among those
+    # not full, one per mask: the filter that visits masks by bit count agrees
+    # with the quadratic definition on duplicate, nested, full and zero masks;
+    # row i is the unit vector e_i, so a mask's row can be read off its facet
+    full = (1 << g) - 1
+    mask = st.integers(0, full)
+    masks = data.draw(st.lists(mask, min_size=1, max_size=10))
+    masks += [m & data.draw(mask) for m in masks] + masks[:2] + [0, full]
+    masks = data.draw(st.permutations(masks))
+    k = len(masks)
+    rows = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    facets, equations = dd.from_incidence(k, zip(rows, masks), full, ())
+    proper = {m for m in masks if m != full}
+    want = {m for m in proper if not any(m != n and m & n == m for n in proper)}
+    assert sorted(masks[f.index(1)] for f in facets) == sorted(want)
+    assert equations == tuple(a for a, m in zip(rows, masks) if m == full)

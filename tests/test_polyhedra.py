@@ -394,10 +394,11 @@ def test_refinement_guard_below_one_refused(bound):
     ([[int(k in p) for k in range(5)] for p in itertools.combinations(range(5), 2)], 102),
 ], ids=["line5", "line6", "line7", "gr25"])
 def test_refinement_runs_one_dd_per_chamber(monkeypatch, weights, chambers):
-    # points on a line and the Gr(2,5) weights e_i + e_j: one run from scratch
-    # per chamber and one for the support, as a wall is crossed by a half-space
-    # test, with no intersection; and one incidence read-off per run, as no
-    # facet is built to cross it
+    # points on a line and the Gr(2,5) weights e_i + e_j: one run from scratch,
+    # for the support, and one run per chamber resumed from the simplicial cone
+    # of its first basis, as a wall is crossed by a half-space test, with no
+    # intersection; and one incidence read-off per run, as no facet is built
+    # to cross it
     from ppfan.chow import build_setup
     pi = build_setup(LatticeMap(tuple(zip(*weights)), "E", "M")).pi
     fresh, resumed, read = [], [], []
@@ -416,7 +417,7 @@ def test_refinement_runs_one_dd_per_chamber(monkeypatch, weights, chambers):
     monkeypatch.setattr(dd, "from_incidence", counting_read)
     monkeypatch.setattr("ppfan.polyhedra.from_incidence", counting_read)
     assert len(common_refinement_fan(pi).maximal) == chambers
-    assert (len(fresh), len(resumed)) == (chambers + 1, 0)
+    assert (len(fresh), len(resumed)) == (1, chambers)
     assert len(read) == chambers + 1
 
 
@@ -470,8 +471,9 @@ def test_perturbed_sign_refuses_the_zero_row():
                        min_size=r, max_size=r)))
 def test_refinement_basis_rows_are_the_inverse(mat):
     # for a square pi the one basis is all columns: it is kept iff pi is
-    # invertible, and the rows its chamber is built from, taken from one
-    # elimination of (pi | I), are the rows of pi^-1 made primitive
+    # invertible, and the rows its chamber's facets are read from, taken from
+    # one elimination of (pi | I), are the rows of pi^-1 made primitive, in order
+    import ppfan.polyhedra as polyhedra
     from ppfan.lattice import matrix_rank, rational_left_inverse
     mat = tuple(map(tuple, mat))
     r = len(mat)
@@ -481,13 +483,19 @@ def test_refinement_basis_rows_are_the_inverse(mat):
             common_refinement_fan(pi)
         return
     built = []
-    real = Cone.from_ineqs
-    Cone.from_ineqs = staticmethod(lambda *args: built.append(args[2]) or real(*args))
+    real = polyhedra.from_incidence
+
+    def capture(dim, incidence, full, eqs):
+        incidence = list(incidence)
+        built.append([a for a, _ in incidence])
+        return real(dim, incidence, full, eqs)
+
+    polyhedra.from_incidence = capture
     try:
         fan = common_refinement_fan(pi)
     finally:
-        Cone.from_ineqs = staticmethod(real)
-    assert built == [sorted(scale_to_int(a) for a in rational_left_inverse(mat))]
+        polyhedra.from_incidence = real
+    assert built == [[scale_to_int(a) for a in rational_left_inverse(mat)]]
     assert fan.labels() == [(tuple(range(r)),)]
 
 
@@ -536,6 +544,33 @@ def full_rank_maps(draw):
     return pi
 
 
+def ref_chamber(pi, label):
+    """The chamber of `label` from scratch: one run on the sorted rows of its bases' cones."""
+    from ppfan.lattice import rational_left_inverse
+    rows = {scale_to_int(a) for S in label
+            for a in rational_left_inverse(tuple(tuple(row[j] for j in S) for row in pi.entries))}
+    return Cone.from_ineqs(pi.codomain, pi.rows, sorted(rows))
+
+
+def check_chambers(pi, fan):
+    # each chamber, resumed from its first basis' cone, is the cone of one run
+    # from scratch, and the facet masks the walk stored are the true incidence
+    for label, c in fan.maximal:
+        assert c == ref_chamber(pi, label), label
+        assert "_incidence" in vars(c), label
+        assert c._incidence == tuple(zip(c.ineqs, dd.tight_masks(c.ineqs, c.rays))), label
+
+
+@pytest.mark.parametrize("weights", [
+    *[[(1, a) for a in range(l)] for l in (5, 6, 7, 8)],
+    [[int(k in p) for k in range(5)] for p in itertools.combinations(range(5), 2)],
+], ids=["line5", "line6", "line7", "line8", "gr25"])
+def test_refinement_chambers_match_one_run_each(weights):
+    from ppfan.chow import build_setup
+    pi = build_setup(LatticeMap(tuple(zip(*weights)), "E", "M")).pi
+    check_chambers(pi, common_refinement_fan(pi))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(full_rank_maps(), st.data())
@@ -545,6 +580,7 @@ def test_refinement_sampling_oracle(pi, data):
     # the fan's own rays and cone centres exercise boundaries and interiors
     xs += list(fan.rays()) + [c.relative_interior_point() for c in fan.cones()]
     check_chamber_fan(pi, fan, xs)
+    check_chambers(pi, fan)
 
 
 # --- induced subdivisions --------------------------------------------------
