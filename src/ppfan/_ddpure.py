@@ -9,7 +9,14 @@ All arithmetic is arbitrary-precision integer; output is raw (canonicalised
 by the caller).
 """
 
+from functools import cache
+
 from ._vecops import dot, primitive
+
+
+@cache
+def _identity(dim):  # the lineality basis a run from scratch starts with
+    return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
 
 
 def process(dim, constraints, start=None):
@@ -26,7 +33,7 @@ def process(dim, constraints, start=None):
     canonicalised, and the final bitmasks, aligned with the rays.
     """
     if start is None:
-        lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+        lin = list(_identity(dim))
         vecs = []   # extreme rays
         zsets = []  # bitmask per ray: tight inequalities among those processed
         nbit = 0

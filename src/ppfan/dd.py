@@ -8,12 +8,13 @@ through this module's global `process`, so a test or a tracer can rebind
 that one name to see every run, and turns its output into the canonical
 description.  `Polyhedron.with_vertex` (the hull with one more vertex)
 and each chamber of `polyhedra.common_refinement_fan` (from one of its
-simplicial basis cones) resume it through the same global.
+simplicial basis cones) resume it through the same global; a Gr(2,n)
+segment coefficient (`Polyhedron._plus_hull`) does not call it at all.
 `dd_pair` gives both canonical descriptions from one run: the second is
-read off the incidence between the computed rays and the input rows by
-`from_incidence`.  The same routine gives faces and tail cones of a
-polyhedron that is already canonical, from the incidence of its own
-generators with its own rows, with no run at all.
+read off the run's tight sets, the incidence between the computed rays and
+the input rows, by `from_incidence`.  The same routine gives faces and tail
+cones of a polyhedron that is already canonical, from the incidence of its
+own generators with its own rows, with no run at all.
 """
 
 from ._ddpure import process
@@ -22,31 +23,31 @@ from ._vecops import dot, is_zero, reduce_mod_rows, rref_primitive
 BACKEND = "python"  # the only kernel, reported as `ppfan.BACKEND`
 
 
-def dd_cone(dim, ineqs, eqs):
+def dd_cone(dim, ineqs, eqs, tight=None):
     """Extreme rays and lineality of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
     All input vectors must be integer tuples of length `dim` (ValueError
     naming the first one that is not that long).  Returns
     (rays, lineality): rays are primitive, reduced modulo the lineality
     space and sorted; the lineality basis is the canonical primitive RREF.
-    The result is independent of input order and duplicates.
+    The result is independent of input order and duplicates.  A list passed
+    as `tight` gets each ray's tight set from the run, bit k for the k-th
+    nonzero row of `ineqs` (reduction modulo the lineality keeps it).
     """
     constraints = [(tuple(e), True) for e in eqs] + [(tuple(a), False) for a in ineqs]
     for v, _ in constraints:
         if len(v) != dim:
             raise ValueError(f"vector {v!r} has length {len(v)}, expected {dim}")
-    vecs, lin_rows, _ = process(dim, constraints)
+    vecs, lin_rows, zsets = process(dim, constraints)
     lin = rref_primitive(lin_rows, dim)
-    rays = set()
     if lin:
-        for v in vecs:
-            r = reduce_mod_rows(v, lin)
-            if not is_zero(r):
-                rays.add(r)
-    else:
-        # the loop already keeps rays primitive; nothing to reduce
-        rays.update(v for v in vecs if not is_zero(v))
-    return tuple(sorted(rays)), lin
+        vecs = [reduce_mod_rows(v, lin) for v in vecs]
+    # the loop already keeps rays primitive; a ray in the lineality reduces to zero
+    rays = {v: z for v, z in zip(vecs, zsets) if not is_zero(v)}
+    order = sorted(rays)
+    if tight is not None:
+        tight.extend(map(rays.__getitem__, order))
+    return tuple(order), lin
 
 
 def tight_masks(rows, gens):
@@ -98,13 +99,15 @@ def dd_pair(dim, ineqs, eqs):
     `dd_cone(dim, ineqs, eqs)`; the last two equal `dd_cone(dim, rays,
     lineality)`, the canonical description of the polar cone, but come from
     the incidence of the rays with the input rows (`from_incidence`) instead
-    of a second run (Fukuda & Prodon, *Double description method revisited*).
+    of a second run (Fukuda & Prodon, *Double description method revisited*):
+    the run's own tight sets, transposed.
 
     By duality, generators give the other direction: `dd_pair(dim, rays,
     lineality)` returns (facets, equations, extreme rays, lineality).
     """
-    rays, lin = dd_cone(dim, ineqs, eqs)
-    ineqs = list(map(tuple, ineqs))
-    facets, equations = from_incidence(dim, zip(ineqs, tight_masks(ineqs, rays)),
-                                       (1 << len(rays)) - 1, eqs)
+    tight = []
+    rays, lin = dd_cone(dim, ineqs, eqs, tight=tight)
+    rows = [a for a in map(tuple, ineqs) if any(a)]
+    masks = [sum(1 << i for i, z in enumerate(tight) if z >> b & 1) for b in range(len(rows))]
+    facets, equations = from_incidence(dim, zip(rows, masks), (1 << len(rays)) - 1, eqs)
     return rays, lin, facets, equations

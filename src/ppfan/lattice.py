@@ -250,9 +250,13 @@ class RationalMap:
         return len(self.entries[0]) if self.entries else self.width
 
     def apply(self, v):
+        """The image of v; a rational map takes it through its integer rows and divides once."""
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} into {self.domain} of rank {self.cols}")
-        return mat_vec(self.entries, v)
+        if self.integral or not self.cols:
+            return mat_vec(self.entries, v)
+        *rows, (*_, q) = self.homogenised
+        return tuple(Fraction(dot(r, v), q) for r in rows)
 
     @cached_property
     def homogenised(self):
@@ -343,12 +347,14 @@ def integral_section(pi: LatticeMap) -> LatticeMap:
 
 
 def check_retraction(t, emb) -> bool:
-    """True iff t ∘ emb is exactly the identity."""
-    t_entries = t.entries if hasattr(t, "entries") else tuple(tuple(Fraction(x) for x in r) for r in t)
-    if len(t_entries[0]) != emb.rows:
+    """True iff t ∘ emb is exactly the identity: q t ∘ emb = q I in integers (`homogenise`)."""
+    if not hasattr(t, "entries"):
+        t = RationalMap(t, "", "")
+    if t.cols != emb.rows:
         raise ValueError("dimension mismatch")
-    prod = mat_mul(t_entries, emb.entries)
-    return prod == identity_matrix(emb.cols)
+    *rows, (*_, q) = t.homogenised
+    prod = mat_mul([r[:-1] for r in rows], emb.entries)
+    return prod == tuple(tuple(q * x for x in r) for r in identity_matrix(emb.cols))
 
 
 def rational_solve(matrix, rhs):

@@ -17,17 +17,19 @@ support, found by walking from chamber to chamber.
 A conversion between the two descriptions is one run of the double
 description kernel (``ppfan.dd.dd_pair``); the description that run does not
 compute is read off the incidence between the rays it finds and the input
-rows.  Faces (`face_minimizing`) and tail cones (`Polyhedron.tail_cone`)
-need no run: they are read the same way (``ppfan.dd.from_incidence``) off
-the incidence of the object's own generators with its own rows, which is
-cached on the instance.  Translates (`Polyhedron.translate`) and a cone as
-a polyhedron (`Cone.to_polyhedron`) need no run either: they carry the
-canonical data over.  Nor does the convex hull with one more vertex
-(`Polyhedron.with_vertex`): it is one step of the kernel resumed from the
-cached incidence, the polar cone's minimal system, instead of a run from
-the whole space.  A cone plus the hull of points (`Polyhedron._plus_hull`)
-is such steps and one translate.  An image under a linear map
-(`linear_image`) is one run on the images of the generators.  A chamber of
+rows, which is the run's own tight sets.  Faces (`face_minimizing`) and tail
+cones (`Polyhedron.tail_cone`) need no run: they are read the same way
+(``ppfan.dd.from_incidence``) off the incidence of the object's own
+generators with its own rows, which is cached on the instance.  Translates
+(`Polyhedron.translate`) and a cone as a polyhedron (`Cone.to_polyhedron`)
+need no run either: they carry the canonical data over.  Nor does the
+convex hull with one more vertex (`Polyhedron.with_vertex`): it is one step
+of the kernel resumed from the cached incidence, the polar cone's minimal
+system, instead of a run from the whole space.  A pointed, full-dimensional
+cone plus a segment (`Polyhedron._plus_hull`, every Gr(2,n) coefficient) is
+no kernel call but one signed pass over the cone's cached ridges.  An image
+under a linear map (`linear_image`) is one run on the images of the
+generators.  A chamber of
 the quotient fan is one run resumed from a simplicial cone whose minimal
 system is known, its facets read off the tight sets that run returns.
 Polyhedra are homogenised with one extra trailing coordinate, and store
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from ._vecops import (dot, frac_str, neg, primitive, ratio_str, reduce_mod_rows,
                       rref, rref_primitive, scale_to_int, sign_canonical)
@@ -319,40 +321,62 @@ class Polyhedron:
         _check_lengths(self.dim_ambient, [v], "vertex")
         if self.empty:
             raise ValueError("empty polyhedron has no generators to extend")
-        return self._moved(*self._hull_step([self._reduced(scale_to_int(tuple(v) + (1,)))]))
+        return self._moved(*self._hull_step([self._reduced(scale_to_int(tuple(v) + (1,)))]),
+                           (0,) * self.dim_ambient + (1,))
 
     def _plus_hull(self, hom_points):
         """self + conv(points), for a self whose one vertex is 0: a cone, or its face or image.
 
         The points are homogeneous integer rows (N, D), D > 0, in any positive
         multiple.  With p the first, self + conv(points) = conv(self ∪ {q - p})
-        + p over the further points q: one `with_vertex` step per q, each
-        resumed from the last, then one move by p, with no polyhedron between.
+        + p over the further points q: one signed pass (`_add_segment`) for one
+        q on a pointed, full-dimensional self, else one `with_vertex` step per
+        q, each resumed from the last; the move by p is made as rows are written.
         """
         if self.points != ((0,) * self.dim_ambient + (1,),):
             raise ValueError("the hull is added only to a polyhedron whose one vertex is 0")
-        (*a1, b1), *rest = (self._reduced(p) for p in hom_points)
+        hv, *rest = (self._reduced(p) for p in hom_points)
+        *a1, b1 = hv
         # q - p as the homogeneous point (b1 a - b a1, b b1)
         steps = [primitive([b1 * x - b * y for x, y in zip(a, a1)] + [b * b1]) for *a, b in rest]
-        return self._moved(*self._hull_step(steps), (*a1, b1))
+        if not steps:
+            return self._moved(self.points, *self._hom_rows, hv)
+        if len(steps) == 1 and not self.eqs and not self.lineality:
+            return self._moved(*_add_segment(self, steps[0]), (), hv)
+        return self._moved(*self._hull_step(steps), hv)
 
     def _reduced(self, hv):
         """The homogeneous point hv, primitive and reduced modulo the lineality."""
         lin = self._hom_gens[2]
         return reduce_mod_rows(hv, lin) if lin else primitive(hv)
 
+    @cached_property
+    def _ridges(self):
+        """(rows, masks, pairs) of the polar of the homogenisation; not a field.
+
+        The rows `_hom_rows[0]` with their `_incidence` masks, and x0 >= 0 when
+        it is a facet (`with_vertex`), are the polar's minimal system.  Rows
+        i < j meet in a ridge when no third row's mask contains the common part
+        of theirs: the combinatorial adjacency test (Fukuda & Prodon, *Double
+        description method revisited*), sound when self is full-dimensional.
+        """
+        *facets, (x0_row, x0_mask) = self._incidence
+        rows, masks = [a for a, _ in facets], [m for _, m in facets]
+        if all(x0_mask & m != x0_mask for m in masks):
+            rows.append(x0_row)
+            masks.append(x0_mask)
+        pairs = []
+        for i, j in combinations(range(len(rows)), 2):
+            m = masks[i] & masks[j]
+            if not any(k != i and k != j and z & m == m for k, z in enumerate(masks)):
+                pairs.append((i, j))
+        return tuple(rows), tuple(masks), tuple(pairs)
+
     def _hull_step(self, hom_points):
-        """Points and stored rows of conv(self ∪ points) (`with_vertex`); points `_reduced`."""
-        if not hom_points:
-            return self.points, self.ineqs, self.eqs
+        """Points and homogeneous rows of conv(self ∪ points), the points `_reduced`."""
         dim = self.dim_ambient + 1
         verts, rays, _ = self._hom_gens
-        *facets, (x0_row, x0_mask) = self._incidence
-        out = [a for a, _ in facets]
-        zsets = [m for _, m in facets]
-        if all(x0_mask & m != x0_mask for m in zsets):
-            out.append(x0_row)
-            zsets.append(x0_mask)
+        out, zsets, _ = self._ridges
         eqs = lin = self._hom_rows[1]
         nbit = len(verts) + len(rays)
         for p in hom_points:
@@ -373,28 +397,24 @@ class Polyhedron:
             if not common & ~sum(1 << j for j, h in vbits if h == g):
                 kept.append(g)
         # dict.fromkeys: a point may repeat a vertex
-        return (list(dict.fromkeys(kept)), [a[:-1] + (-a[-1],) for a in out if any(a[:-1])],
-                [e[:-1] + (-e[-1],) for e in eqs if any(e[:-1])])
+        return list(dict.fromkeys(kept)), out, eqs
 
-    def _moved(self, points, ineqs, eqs, hv=None):
-        """The polyhedron with self's rays and lineality and these points and stored rows.
+    def _moved(self, points, ineqs, eqs, hv):
+        """The polyhedron with self's rays and lineality and these points and homogeneous rows.
 
-        With hv = (num, den), a `_reduced` point, they are moved by num/den
-        first: a point (N, D) to (N*den + D*num, D*den) and a row a.x >= b (or
-        == b) to (den*a, den*b + a.num), made primitive when den > 1; for
-        den = 1 adding D*num to N, or a.num to b, keeps the gcd 1.  Points
-        and facet rows are sorted once, here.
+        All are moved by num/den, hv = (num, den) a `_reduced` point: a point
+        (N, D) to (N*den + D*num, D*den), made primitive when den > 1 (for
+        den = 1 adding D*num to N keeps the gcd 1), and a row by `_move_rows`.
+        Points and facet rows are sorted once, here.
         """
-        if hv is not None:
-            *num, den = hv
-            fix = tuple if den == 1 else primitive
-            points = [fix([den * x + p[-1] * y for x, y in zip(p, num)] + [den * p[-1]])
-                      for p in points]
-            ineqs, eqs = ([fix([den * x for x in r[:-1]] + [den * r[-1] + dot(r, num)])
-                           for r in rows] for rows in (ineqs, eqs))
+        *num, den = hv
+        fix = tuple if den == 1 else primitive
+        points = [fix([den * x + p[-1] * y for x, y in zip(p, num)] + [den * p[-1]])
+                  for p in points]
         return Polyhedron(self.ambient, self.dim_ambient, False, points=tuple(sorted(points)),
                           rays=self.rays, lineality=self.lineality,
-                          ineqs=tuple(sorted(ineqs)), eqs=tuple(eqs))
+                          ineqs=tuple(sorted(_move_rows(ineqs, num, den))),
+                          eqs=tuple(_move_rows(eqs, num, den)))
 
     def contains(self, x):
         _check_lengths(self.dim_ambient, [x], "point")
@@ -420,7 +440,7 @@ class Polyhedron:
 
     def _translate_hom(self, hv):
         """`translate` by the point with homogeneous integer coordinates hv (x0 > 0)."""
-        return self._moved(self.points, self.ineqs, self.eqs, self._reduced(hv))
+        return self._moved(self.points, *self._hom_rows, self._reduced(hv))
 
     def relative_interior_point(self):
         """The mean of the vertices plus the sum of the rays, as Fractions."""
@@ -532,6 +552,61 @@ def _cone_leq(p, q):
     """tail(p) together with lineality contained in tail(q)+lineality(q); q nonempty."""
     _, rays, lin = p._hom_gens
     return _gens_in(q, rays, lin)
+
+
+def _move_rows(rows, num, den):
+    """Homogeneous rows (a, c), a.x + c >= 0 (or = 0), moved by num/den, as stored rows.
+
+    a.(x - num/den) + c >= 0 is the stored row (den a, a.num - den c) over its
+    gcd g = gcd(den gcd(a), a.num - den c); the a-part is a itself when g = den.
+    The row x0 >= 0 (a = 0) is no row of a polyhedron and is dropped.
+    """
+    out = []
+    for h in rows:
+        a, c = h[:-1], h[-1]
+        ga = gcd(*a)
+        if ga:
+            b = dot(a, num) - den * c
+            g = gcd(den * ga, b)
+            out.append(a + (b // g,) if g == den else tuple([den * x // g for x in a] + [b // g]))
+    return out
+
+
+def _add_segment(p, s):
+    """Homogeneous vertices and rows of p + conv(0, s), in one signed pass over p's ridges.
+
+    p has the one vertex 0, no equations and no lineality; s = (s', s0) is a
+    primitive homogeneous point, s0 > 0.  This is `Polyhedron.with_vertex`'s
+    step on a pointed, full-dimensional start: the homogenisation C of p is
+    full-dimensional, so its polar is pointed, generated by `_ridges`' rows,
+    two of them adjacent exactly when they meet in a ridge of C.  Adding
+    s >= 0 to the polar gives the polar of cone(C ∪ {s}), the homogenisation
+    of conv(p ∪ {s}) = p + conv(0, s) (Fukuda & Prodon, *Double description
+    method revisited*): its extreme rays are the rows h with h.s >= 0 and,
+    for each ridge of rows h, h' with h.s > 0 > h'.s, (h.s) h' - (h'.s) h.
+    That cone is full-dimensional, so these are its facets and there are no
+    equations; its rays are p's (the face x0 = 0 does not change) and its
+    vertices lie among 0 and s'.  p's facet rows are (a, 0), of value a.s'.
+    If some is > 0, -s' is not in p, so a form > 0 on p minus 0 and on s' is
+    least at 0 alone; if all are 0, s' = 0; if all are <= 0 and s' is not 0,
+    -s' is in p and 0 is the midpoint of s' and -s'.  So 0 is a vertex iff
+    some value is > 0 or all are 0, and likewise (at s', with -s') s' is a
+    vertex iff some value is < 0.
+    """
+    rows, _, ridges = p._ridges
+    vals = [dot(h, s) for h in rows]
+    out = [h for h, v in zip(rows, vals) if v >= 0]
+    for i, j in ridges:
+        vi, vj = vals[i], vals[j]
+        if vi * vj < 0:
+            if vi < 0:
+                vi, vj = -vi, -vj
+            out.append(primitive([vi * x - vj * y for x, y in zip(rows[j], rows[i])]))
+    cone = vals[:len(p.ineqs)]
+    points = [p.points[0]] if any(v > 0 for v in cone) or not any(cone) else []
+    if any(v < 0 for v in cone):
+        points.append(s)
+    return points, out
 
 
 def _tight_on(hom_row, poly):
@@ -697,7 +772,7 @@ class Subdivision:
         # a proper face has a smaller dimension
         if len({p.dim for p in reps}) == 1:
             return reps
-        return [p for p in reps if not any(q != p and p.is_face_of(q) for q in reps)]
+        return [p for p in reps if not any(q.dim > p.dim and p.is_face_of(q) for q in reps)]
 
     def check(self):
         """Verify the subdivision axioms; returns (ok, findings).

@@ -118,6 +118,24 @@ def test_dd_pair_on_generators_matches_two_runs(system):
     assert (rays, c_lin) == dd.dd_cone(d, facets, equations)
 
 
+@HYP
+@given(cone_systems())
+def test_dd_pair_reads_the_runs_tight_sets(system):
+    # the incidence `dd_pair` reads off the run's tight sets is the one the
+    # dot products give: each ray's tight set, bit k for the k-th nonzero
+    # row, and the facets and equations of `from_incidence` on those masks
+    d, ineqs, eqs = system
+    rays, lin, facets, equations = dd.dd_pair(d, ineqs, eqs)
+    masks = dd.tight_masks(ineqs, rays)
+    want = dd.from_incidence(d, zip(map(tuple, ineqs), masks), (1 << len(rays)) - 1, eqs)
+    assert (facets, equations) == want
+    tight = []
+    assert dd.dd_cone(d, ineqs, eqs, tight=tight) == (rays, lin)
+    nonzero = [m for a, m in zip(ineqs, masks) if any(a)]
+    assert tight == [sum(1 << k for k, m in enumerate(nonzero) if m >> i & 1)
+                     for i in range(len(rays))]
+
+
 @pytest.mark.parametrize("d, ineqs, eqs", [
     (0, [], []),
     (0, [()], [()]),

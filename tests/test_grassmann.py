@@ -342,36 +342,39 @@ def test_two_routes_agree(n):
 
 
 def test_routes_run_double_description_only_where_needed(monkeypatch):
-    # closed form: one run from scratch per tail cone (10) and one resumed
-    # one-constraint step per segment coefficient (60, `_plus_hull`);
-    # one-vertex coefficients are translates of the tail.  Recipe: one run
-    # per fiber in the coordinates of ker pi (10, dimension n + 1 = 6), one
-    # for the tail (dimension n = 5) and one per image of a tail face along
-    # the degree direction (10, dimension 5), and one step per projected
-    # boundary face with two minimising vertices (60).  The fiber cache is
-    # cleared so that the count is the cold one.
+    # closed form: one run from scratch per tail cone (10) and one signed
+    # pass per segment coefficient (60, `_plus_hull` on a pointed,
+    # full-dimensional tail); one-vertex coefficients are translates of the
+    # tail.  Recipe: one run per fiber in the coordinates of ker pi (10,
+    # dimension n + 1 = 6), one for the tail (dimension n = 5) and one per
+    # image of a tail face along the degree direction (10, dimension 5), and
+    # one signed pass per projected boundary face with two minimising
+    # vertices (60).  No run is resumed.  The fiber cache is cleared so that
+    # the count is the cold one.
     import ppfan.dd as dd
+    import ppfan.polyhedra as polyhedra
     from ppfan.chow import positive_fiber
 
-    fresh, resumed = [], []
-    real_process = dd.process
+    fresh, resumed, signed = [], [], []
+    real_process, real_step = dd.process, polyhedra._add_segment
 
     def counting(dim, constraints, start=None):
-        if start is None:
-            fresh.append(dim)
-        else:
-            assert len(constraints) == 1
-            resumed.append(dim)
+        (fresh if start is None else resumed).append(dim)
         return real_process(dim, constraints, start)
 
+    def counting_step(p, s):
+        signed.append(p.dim_ambient)
+        return real_step(p, s)
+
     monkeypatch.setattr(dd, "process", counting)
+    monkeypatch.setattr(polyhedra, "_add_segment", counting_step)
     fansy_closed_form(5)
-    assert (len(fresh), len(resumed)) == (10, 60)
+    assert (len(fresh), len(resumed), len(signed)) == (10, 0, 60)
     fresh.clear()
-    resumed.clear()
+    signed.clear()
     positive_fiber.cache_clear()
     fansy_via_recipe(5, verify=False)
-    assert (len(fresh), len(resumed)) == (21, 60)
+    assert (len(fresh), len(resumed), len(signed)) == (21, 0, 60)
     assert sorted(fresh) == [5] * 11 + [6] * 10
 
 
@@ -379,9 +382,10 @@ def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
     # check_induced_subdivisions: one run from scratch per lift (10 partitions,
     # two height vectors each), the support and the cells read off it.
     # check_positive_fibers: with the fibers (the recipe's, in ker pi
-    # coordinates) and sigma_cone cached, each reference is one resumed step
+    # coordinates) and sigma_cone cached, each reference is one signed pass
     # on fiber_tail, which itself runs no DD
     import ppfan.dd as dd
+    import ppfan.polyhedra as polyhedra
     from ppfan.chow import positive_fiber
     from ppfan.verify import check_induced_subdivisions, check_positive_fibers
 
@@ -390,19 +394,24 @@ def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
         positive_fiber(setup.emb, setup.ws.section.apply(partition_ray(5, B)[0]))
     sigma_cone(5)
     fiber_tail.cache_clear()
-    fresh, resumed = [], []
-    real_process = dd.process
+    fresh, resumed, signed = [], [], []
+    real_process, real_step = dd.process, polyhedra._add_segment
 
     def counting(dim, constraints, start=None):
         (fresh if start is None else resumed).append(dim)
         return real_process(dim, constraints, start)
 
+    def counting_step(p, s):
+        signed.append(p.dim_ambient)
+        return real_step(p, s)
+
     monkeypatch.setattr(dd, "process", counting)
+    monkeypatch.setattr(polyhedra, "_add_segment", counting_step)
     assert check_induced_subdivisions(5)[0]
-    assert (len(fresh), len(resumed)) == (20, 0)
+    assert (len(fresh), len(resumed), len(signed)) == (20, 0, 0)
     fresh.clear()
     assert check_positive_fibers(5)[0]
-    assert (len(fresh), len(resumed)) == (0, 10)
+    assert (len(fresh), len(resumed), len(signed)) == (0, 0, 10)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ppfan.dd as dd
+import ppfan.polyhedra as polyhedra_module
 from ppfan._vecops import frac_str, is_zero, scale_to_int
 from ppfan.dd import dd_cone, from_incidence
 from ppfan.divisors import Label, PPDivisor
@@ -959,7 +960,8 @@ def cone_hulls(draw):
 @given(cone_hulls())
 def test_plus_hull_matches_rebuild(case):
     # cone + conv(points): one resumed step per point after the first, then
-    # one shift, equals a run from scratch on the generators
+    # one shift, equals a run from scratch on the generators; a segment on a
+    # pointed, full-dimensional cone takes the signed pass instead
     cone, points, multiples = case
     starts = []
     real_process = dd.process
@@ -974,9 +976,73 @@ def test_plus_hull_matches_rebuild(case):
         got = cone.to_polyhedron()._plus_hull(hom)
     finally:
         dd.process = real_process
-    assert starts == [True] * (len(points) - 1)
+    signed = len(points) == 2 and cone.is_pointed and cone.dim == cone.dim_ambient
+    assert starts == ([] if signed else [True] * (len(points) - 1))
     want = ref_from_generators("Q", cone.dim_ambient, points, cone.rays, cone.lineality)
     assert got == want
+
+
+def ref_plus_hull(p, hom_points):
+    """`Polyhedron._plus_hull` by resumed kernel steps: the hull of the points
+    after the first, moved to the first, by `_hull_step` and `_moved`."""
+    (*a1, b1), *rest = (p._reduced(h) for h in hom_points)
+    steps = [_primitive([b1 * x - b * y for x, y in zip(a, a1)] + [b * b1]) for *a, b in rest]
+    return p._moved(*p._hull_step(steps), (*a1, b1))
+
+
+@st.composite
+def pointed_segments(draw):
+    """(cone, points, multiples): a pointed, full-dimensional cone of dimension
+    2-5 and two points p, q with q - p zero, in the cone, in its negative, on a
+    facet hyperplane (some values 0) or anywhere."""
+    d = draw(st.integers(2, 5))
+    small = st.integers(0, 1)
+    # rays that dominate their diagonal span Q^d, and rays all in one closed
+    # orthant span a pointed cone; a sign per coordinate moves the orthant
+    rays = [tuple(4 if i == j else draw(small) for j in range(d)) for i in range(d)]
+    rays += draw(_vectors(st.integers(0, 3), d, max_size=2))
+    signs = draw(st.tuples(*[st.sampled_from([1, -1])] * d))
+    cone = Cone.from_rays("Q", d, [tuple(s * x for s, x in zip(signs, r)) for r in rays if any(r)])
+    p = draw(st.tuples(*[_rats] * d))
+    kind = draw(st.sampled_from(["same", "inside", "negative", "facet", "free"]))
+    if kind == "free":
+        return cone, [p, draw(st.tuples(*[_rats] * d))], draw(st.lists(st.integers(1, 4),
+                                                                       min_size=2, max_size=2))
+    if kind == "facet":
+        # an integer combination of the rays on one facet row: 0 there, any sign elsewhere
+        a = draw(st.sampled_from(cone.ineqs))
+        gens = [r for r in cone.rays if sum(x * y for x, y in zip(a, r)) == 0]
+        coeffs = [draw(st.integers(-2, 2)) for _ in gens]
+        s = tuple(sum(c * r[i] for c, r in zip(coeffs, gens)) for i in range(d))
+    elif kind == "same":
+        s = (0,) * d
+    else:
+        picked = draw(st.lists(st.sampled_from(cone.rays), min_size=1, max_size=3))
+        s = tuple((1 if kind == "inside" else -1) * sum(r[i] for r in picked) for i in range(d))
+    t = draw(st.sampled_from([F(1, 3), F(1), F(2)]))
+    q = tuple(x + t * y for x, y in zip(p, s))
+    return cone, [p, q], draw(st.lists(st.integers(1, 4), min_size=2, max_size=2))
+
+
+@HYP
+@given(pointed_segments())
+def test_plus_hull_signed_pass_matches_rebuild(case):
+    # one signed pass over the tail's ridges, and no kernel run, equals a run
+    # from scratch on the generators and the resumed kernel step
+    cone, points, multiples = case
+    tail = cone.to_polyhedron()
+    hom = [tuple(k * x for x in scale_to_int(v + (1,))) for v, k in zip(points, multiples)]
+    runs, signed = [], []
+    real_process, real_step = dd.process, polyhedra_module._add_segment
+    dd.process = lambda *args: runs.append(args) or real_process(*args)
+    polyhedra_module._add_segment = lambda p, s: signed.append(s) or real_step(p, s)
+    try:
+        got = tail._plus_hull(hom)
+    finally:
+        dd.process, polyhedra_module._add_segment = real_process, real_step
+    assert (len(runs), len(signed)) == (0, 1)
+    assert got == ref_from_generators("Q", cone.dim_ambient, points, cone.rays)
+    assert got == ref_plus_hull(tail, hom)
 
 
 def test_plus_hull_needs_the_vertex_zero():
