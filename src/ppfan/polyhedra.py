@@ -15,39 +15,28 @@ coarsest common refinement of the images of the orthant faces, on its
 support, found by walking from chamber to chamber.
 
 A conversion between the two descriptions is one run of the double
-description kernel (``ppfan.dd.dd_pair``); the description that run does not
-compute is read off the incidence between the rays it finds and the input
-rows, which is the run's own tight sets.  Faces (`face_minimizing`) and tail
-cones (`Polyhedron.tail_cone`) need no run: they are read the same way
-(``ppfan.dd.from_incidence``) off the incidence of the object's own
-generators with its own rows, which is cached on the instance.  Translates
-(`Polyhedron.translate`) and a cone as a polyhedron (`Cone.to_polyhedron`)
-need no run either: they carry the canonical data over.  Nor does the
-convex hull with one more vertex (`Polyhedron.with_vertex`): it is one step
-of the kernel resumed from the cached incidence, the polar cone's minimal
-system, instead of a run from the whole space.  A pointed, full-dimensional
-cone plus a segment (`Polyhedron._plus_hull`, every Gr(2,n) coefficient) is
-no kernel call but one signed pass over the cone's cached ridges.  An image
+description kernel (``ppfan.dd.dd_pair``); the other description is read off
+the run's own tight sets, the incidence of the rays it finds with the input
+rows.  So are a regular subdivision's cells (`lift_facets`).  Faces
+(`face_minimizing`) and tail cones (`Polyhedron.tail_cone`) are read the same
+way (``ppfan.dd.from_incidence``) off the object's cached incidence, with no
+run; translates and `Cone.to_polyhedron` carry the canonical data over.  The
+hull with one more vertex (`Polyhedron.with_vertex`) is one kernel step
+resumed from the cached incidence, the polar cone's minimal system, and a
+pointed, full-dimensional cone plus a segment (`Polyhedron._plus_hull`, every
+Gr(2,n) coefficient) one signed pass over the cone's cached ridges.  An image
 under a linear map (`linear_image`) is one run on the images of the
-generators.  A chamber of
-the quotient fan is one run resumed from a simplicial cone whose minimal
-system is known, its facets read off the tight sets that run returns.
+generators; a chamber of the quotient fan, one run resumed from a simplicial
+cone, its facets read off the run's tight sets.
 Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
 
-`Subdivision.check` reads each facet off the cell's own generators: the
-facet on a row is generated by the cell's vertices and rays on it and the
-cell's lineality.  It first tries a facet-matching certificate (`_tiles`):
-every facet, keyed by its row up to sign and those generators, is shared by
-exactly one cell on its other side or lies on the support's boundary, and
-one interior point lies in one cell only.  That proves the cells subdivide
-the support face to face, in time linear in the number of facets; the same
-certificate shows that distinct cones form a complete fan
-(`Fan.is_complete`).  Only when it fails are the axioms checked pair by
-pair, for the findings: each pair of cells is intersected by double
-description, which also names the overlap witness.  Every Gr(2,n)
-subdivision and tail fan (n = 4 to 9) passes the certificate.
+`Subdivision.check` first tries a facet-matching certificate (`_tiles`, which
+has the proof), in time linear in the number of facets; the same certificate
+shows that distinct cones form a complete fan (`Fan.is_complete`).  Only when
+it fails are the axioms checked pair by pair, for the findings.  Every
+Gr(2,n) subdivision and tail fan (n = 4 to 9) passes the certificate.
 """
 
 from collections import deque
@@ -177,9 +166,6 @@ class Cone:
 
 # ---------------------------------------------------------------------------
 # polyhedra
-
-
-EMPTY_MARK = "empty"
 
 
 @dataclass(frozen=True)
@@ -1085,54 +1071,66 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
 # regular subdivisions from heights
 
 
+def lift_facets(points, heights):
+    """(lifted, incidence, equations) of L = conv(points lifted by heights) + cone(up), one run.
+
+    The run is on L's homogenisation, up = (0, ..., 0, 1): the points as
+    primitive rows (p, h, 1), then (up, 0).  Each facet row (x0 >= 0 too,
+    when it is one) comes with its tight set from the run, not from dot
+    products (Fukuda & Prodon): bit i for the i-th point, bit len(points) for
+    up.  The points on a lower facet (t-coefficient > 0) are a cell.
+    """
+    if not points:
+        raise ValueError("no points to lift")
+    if len(points) != len(heights):
+        raise ValueError("heights must be indexed by points")
+    d = len(points[0])
+    _check_lengths(d, points, "point")
+    lifted = [scale_to_int(tuple(p) + (h, 1)) for p, h in zip(points, heights)]
+    tight = []
+    rows, equations = dd.dd_cone(d + 2, lifted + [(0,) * d + (1, 0)], (), tight=tight)
+    return lifted, list(zip(rows, tight)), equations
+
+
 def induced_subdivision(ambient, points, heights) -> Subdivision:
     """Regular subdivision of conv(points) from the lower faces of the lift.
 
     Heights may be any rationals indexed like the points.  Cells are labelled
-    by the sorted tuples of point indices they contain.
-
-    The lift L = conv(lifted points) + cone(up), up = (0, ..., 0, 1), is the
-    only double description run; the support S and the cells are read off
-    it.  The faces of L that contain `up` are the preimages of the faces of
-    S under the projection along t, so L's equations and vertical facets
-    (t-coefficient 0; every equation has it, as `up` lies in L) with t
-    dropped are S's canonical rows, and S's vertices are the projected
-    vertices of L whose sets of vertical facets are inclusion-maximal (the
-    test of `with_vertex`).  The projection is injective on a lower facet f
-    (t-coefficient > 0), so its cell is f's face read off L's incidence (as
-    in `_face`) and projected: each row gets t eliminated against f by a
-    positive multiple, which keeps it on f's hull, and then dropped.
+    by the sorted tuples of point indices they contain.  Everything is read
+    off the tight sets of the one run in `lift_facets`.  L is pointed, so no
+    point lies on every facet, and L's vertices are the points whose sets of
+    facet rows are inclusion-maximal, read off by `from_incidence` as in
+    `dd_pair`.  The faces of L through `up` project along t onto those of
+    the support S, so L's vertical facets and equations (t-coefficient 0)
+    with t dropped are S's canonical rows, and S's vertices the points whose
+    sets of vertical facets are maximal.  The projection is injective on a
+    lower facet f, so its cell is f's face (as in `_face`) projected: each
+    row gets t eliminated against f by a positive multiple, which keeps it
+    on f's hull, and then dropped; masked to the points on f, the rows give
+    the cell's vertices, L's on f, the same way.
     """
-    if len(points) != len(heights):
-        raise ValueError("heights must be indexed by points")
+    lifted, incidence, equations = lift_facets(points, heights)
     d = len(points[0])
-    lift = Polyhedron.from_generators(f"{ambient}^", d + 1,
-                                      [tuple(p) + (h,) for p, h in zip(points, heights)],
-                                      rays=[(0,) * d + (1,)])
-    lifted = [scale_to_int(tuple(p) + (h, 1)) for p, h in zip(points, heights)]
 
     def drop(row):
         return row[:d] + row[d + 1:]
 
-    # masks of the vertical rows; x0 >= 0 is among them, but tight on no vertex
-    vertical = [m for h, m in lift._incidence if h[d] == 0]
-    on = [sum(1 << j for j, m in enumerate(vertical) if m >> i & 1)
-          for i in range(len(lift.points))]
-    kept = [primitive(drop(p)) for p, m in zip(lift.points, on)
-            if not any(m != o and m & o == m for o in on)]
-    # dropping the common 0 keeps the vertical rows sorted
-    support = Polyhedron(ambient, d, False, points=tuple(sorted(kept)),
-                         ineqs=tuple(drop(r) for r in lift.ineqs if r[d] == 0),
-                         eqs=tuple(map(drop, lift.eqs)))
+    def maximal(rows):  # the points whose sets of `rows` are inclusion-maximal, projected
+        sets = [sum(1 << k for k, (_, m) in enumerate(rows) if m >> i & 1)
+                for i in range(len(lifted))]
+        gens, _ = from_incidence(d + 2, zip(lifted, sets), (1 << len(rows)) - 1, ())
+        return {primitive(drop(p)) for p in gens}
+
+    vertical = [(drop(h), m) for h, m in incidence if h[d] == 0]
+    eqs = [drop(e) for e in equations]
+    support = _poly_from_cone(ambient, d, maximal(vertical), (), [h for h, _ in vertical], eqs)
     cells = []
-    for f, sel in lift._incidence:
-        if f[d] <= 0:
-            continue  # only lower facets induce cells
-        members = tuple(i for i, q in enumerate(lifted) if dot(f, q) == 0)
-        rows = ((drop(tuple(f[d] * x - h[d] * y for x, y in zip(h, f))), m & sel)
-                for h, m in lift._incidence)
-        facets, equations = from_incidence(d + 1, rows, sel, support._hom_rows[1])
-        verts = [primitive(drop(p)) for i, p in enumerate(lift.points) if sel >> i & 1]
-        cells.append((members, _poly_from_cone(ambient, d, verts, (), facets, equations)))
+    for f, sel in incidence:
+        if f[d] > 0:  # a lower facet; the rows are masked to the points on it
+            rows = [(drop(tuple(f[d] * x - h[d] * y for x, y in zip(h, f))), m & sel)
+                    for h, m in incidence]
+            cells.append((tuple(i for i in range(len(lifted)) if sel >> i & 1),
+                          _poly_from_cone(ambient, d, maximal(rows), (),
+                                          *from_incidence(d + 1, rows, sel, eqs))))
     cells.sort(key=lambda t: t[0])
     return Subdivision(ambient, d, tuple(cells), support)

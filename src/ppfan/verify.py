@@ -30,7 +30,7 @@ from .grassmann import (
     tail_fan,
 )
 from .lattice import check_retraction, identity_matrix, mat_mul
-from .polyhedra import Cone, Polyhedron, induced_subdivision, intersect
+from .polyhedra import Cone, Polyhedron, intersect, lift_facets
 
 
 def check_two_routes(n, closed):
@@ -84,18 +84,40 @@ def check_positive_fibers(n):
     return True, f"all {len(partitions(n))} fibers are segment + cone"
 
 
+def lower_cells(points, heights):
+    """The point sets of the cells `heights` induce on `points`, read off one run's tight sets.
+
+    They are the cell labels of `induced_subdivision(_, points, heights)`,
+    as sets: the points on each lower facet (t-coefficient > 0) of the lift,
+    with no cell polyhedron built.
+    """
+    _, incidence, _ = lift_facets(points, heights)
+    d = len(points[0])
+    return {frozenset(i for i in range(len(points)) if m >> i & 1)
+            for h, m in incidence if h[d] > 0}
+
+
 def check_induced_subdivisions(n):
+    """Every partition's two height vectors split Wt(n)'s points into its two big cells.
+
+    The heights are the pair indicator of the part and the section's image
+    of the partition ray.  Each distinct height vector is one run
+    (`lower_cells`), kept for the rest of the call: at n = 5 the two
+    vectors of five partitions are equal, 15 distinct of 20.
+    """
     setup = gr_setup(n)
     points = [setup.ws.deg.column(j) for j in range(setup.ws.deg.cols)]
+    seen = {}  # height vector -> its cells
     for B in partitions(n):
         c, _, _ = partition_ray(n, B)
+        cell1 = frozenset(idx for idx, (i, j) in enumerate(pairs(n))
+                          if i in B.part or j in B.part)
+        cell2 = frozenset(idx for idx, (i, j) in enumerate(pairs(n))
+                          if i in B.complement or j in B.complement)
         for heights in (pair_vector(n, B.part), setup.ws.section.apply(c)):
-            sub = induced_subdivision(f"Wt({n})", points, heights)
-            got = {frozenset(m) for m, _ in sub.cells}
-            cell1 = frozenset(idx for idx, (i, j) in enumerate(pairs(n))
-                              if i in B.part or j in B.part)
-            cell2 = frozenset(idx for idx, (i, j) in enumerate(pairs(n))
-                              if i in B.complement or j in B.complement)
+            if heights not in seen:
+                seen[heights] = lower_cells(points, heights)
+            got = seen[heights]
             if got != {cell1, cell2}:
                 return False, f"heights from {B.part} give cells {sorted(map(sorted, got))}"
     return True, "every partition height splits the weight polytope into its two big cells"

@@ -379,8 +379,9 @@ def test_routes_run_double_description_only_where_needed(monkeypatch):
 
 
 def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
-    # check_induced_subdivisions: one run from scratch per lift (10 partitions,
-    # two height vectors each), the support and the cells read off it.
+    # check_induced_subdivisions: one run from scratch per distinct height
+    # vector (10 partitions, two vectors each, five of the pairs equal: 15),
+    # the cells read off its tight sets.
     # check_positive_fibers: with the fibers (the recipe's, in ker pi
     # coordinates) and sigma_cone cached, each reference is one signed pass
     # on fiber_tail, which itself runs no DD
@@ -408,10 +409,21 @@ def test_battery_reference_objects_run_one_dd_per_lift(monkeypatch):
     monkeypatch.setattr(dd, "process", counting)
     monkeypatch.setattr(polyhedra, "_add_segment", counting_step)
     assert check_induced_subdivisions(5)[0]
-    assert (len(fresh), len(resumed), len(signed)) == (20, 0, 0)
+    assert (len(fresh), len(resumed), len(signed)) == (15, 0, 0)
     fresh.clear()
     assert check_positive_fibers(5)[0]
     assert (len(fresh), len(resumed), len(signed)) == (0, 0, 10)
+
+
+def test_induced_subdivisions_check_names_the_partition_that_fails(monkeypatch):
+    # all-zero heights put every point on one lower facet: one cell, not the
+    # partition's two, so the check fails at the first partition and names it
+    import ppfan.verify as verify
+
+    monkeypatch.setattr(verify, "pair_vector", lambda n, part: (0,) * comb(n, 2))
+    first = partitions(5)[0]
+    assert verify.check_induced_subdivisions(5) == (
+        False, f"heights from {first.part} give cells [{list(range(10))}]")
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -632,6 +632,14 @@ def test_heights_length_checked():
         induced_subdivision("Q", [(0, 0)], [1, 2])
 
 
+def test_induced_subdivision_rejects_no_points_and_ragged_points():
+    with pytest.raises(ValueError, match="no points"):
+        induced_subdivision("Q", [], [])
+    # the point is named as given, before the height is appended
+    with pytest.raises(ValueError, match=re.escape("point (1,) has length 1, expected 2")):
+        induced_subdivision("Q", [(0, 0), (1,)], [0, 0])
+
+
 # --- constructor dimension checks ------------------------------------------
 
 def test_from_generators_rejects_wrong_length():
@@ -1845,3 +1853,14 @@ def test_induced_subdivision_matches_one_run_per_cell(case):
     want = ref_induced_subdivision("Q", points, heights)
     assert got.support == want.support
     assert got.cells == want.cells
+
+
+@settings(HYP, max_examples=300)
+@given(height_configurations())
+def test_lower_cells_are_the_reference_cell_labels(case):
+    # the points on the lift's lower facets, read off the run's tight sets,
+    # are the cells of one from_generators run per lift and per cell
+    from ppfan.verify import lower_cells
+    points, heights = case
+    want = ref_induced_subdivision("Q", points, heights)
+    assert lower_cells(points, heights) == {frozenset(m) for m, _ in want.cells}
