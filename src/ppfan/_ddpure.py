@@ -3,8 +3,8 @@
 `process` incrementally intersects a cone with halfspaces/hyperplanes,
 maintaining a minimal generating system (lineality basis + extreme rays) and
 per-ray bitsets of tight inequalities for the combinatorial adjacency test.
-It starts from the whole space, or resumes from a minimal system that an
-earlier run (or the canonical data of a polyhedron) already holds.
+It starts from the whole space, or resumes from a minimal system that the
+caller already holds (the quotient-fan walk's simplicial basis cone).
 All arithmetic is arbitrary-precision integer; output is raw (canonicalised
 by the caller).
 """
@@ -24,9 +24,10 @@ def process(dim, constraints, start=None):
 
     constraints: sequence of (vector, is_equality) with integer vectors a,
     each meaning a.x >= 0 (inequality) or a.x == 0 (equality).
-    `start` is None (begin with the whole space) or a minimal system
-    (rays, zsets, lineality, nbit) of the cone cut out by `nbit` inequalities
-    processed before: its extreme rays modulo the lineality, a basis of the
+    `start` is None (begin with the whole space) or, for a chamber of
+    `polyhedra.common_refinement_fan`, a minimal system (rays, zsets,
+    lineality, nbit) of the cone cut out by `nbit` inequalities processed
+    before: its extreme rays modulo the lineality, a basis of the
     lineality space, and for each ray the bitmask of those inequalities it
     is tight on.  The loop then adds bit `nbit` onwards, one per inequality.
     Returns (ray_vectors, lineality_rows, zsets): int tuples, not yet

@@ -22,6 +22,7 @@ from .lattice import (
     LatticeMap,
     RationalMap,
     check_retraction,
+    hnf_rows,
     identity_matrix,
     integral_section,
     kernel_basis,
@@ -30,7 +31,6 @@ from .lattice import (
     quotient_projection,
     rational_left_inverse,
     rational_solve,
-    smith_normal_form,
     transpose,
 )
 from .polyhedra import (
@@ -67,8 +67,8 @@ def build_setup(deg: LatticeMap, section=None) -> WeightSetup:
     kb = kernel_basis(deg)
     pi = LatticeMap(transpose(kb.entries) if kb.entries and kb.entries[0] else (),
                     deg.domain, f"chow({deg.domain})", width=deg.cols)
-    _, S, _ = smith_normal_form(deg.entries)
-    saturated = all(S[i][i] == 1 for i in range(deg.rows))
+    # the columns span Z^rows exactly when the HNF of the weights is the identity
+    saturated = hnf_rows(transpose(deg.entries), deg.rows) == identity_matrix(deg.rows)
     dual_name = f"dual({deg.codomain})"
     if saturated:
         dstar = LatticeMap(transpose(deg.entries), dual_name, deg.domain)

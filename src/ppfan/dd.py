@@ -6,10 +6,10 @@ whole space, or a cone whose minimal system it is given, with one row at a
 time and returns raw rays, lineality and tight sets.  `dd_cone` calls it
 through this module's global `process`, so a test or a tracer can rebind
 that one name to see every run, and turns its output into the canonical
-description.  `Polyhedron.with_vertex` (the hull with one more vertex)
-and each chamber of `polyhedra.common_refinement_fan` (from one of its
-simplicial basis cones) resume it through the same global; a Gr(2,n)
-segment coefficient (`Polyhedron._plus_hull`) does not call it at all.
+description.  Only the chambers of `polyhedra.common_refinement_fan`
+resume it, each from one of its simplicial basis cones, through the same
+global; a Gr(2,n) segment coefficient (`Polyhedron._plus_hull`) does not
+call it at all.
 `dd_pair` gives both canonical descriptions from one run: the second is
 read off the run's tight sets, the incidence between the computed rays and
 the input rows, by `from_incidence`.  The same routine gives faces and tail

@@ -170,15 +170,6 @@ class FansyDivisor:
         cells = tuple((k, d.terms[i][1]) for k, d in self.cells)
         return Subdivision(self.ambient, self.dim_ambient, cells)
 
-    def tail_fan(self) -> Fan:
-        seen = []
-        for k, d in self.cells:
-            if not any(d.tail == c for _, c in seen):
-                seen.append((k, d.tail))
-        maximal = [(k, c) for k, c in seen
-                   if not any(c is not c2 and c2.contains_cone(c) for _, c2 in seen)]
-        return Fan(self.ambient, self.dim_ambient, tuple(maximal))
-
     def to_json(self):
         return {
             "ambient": self.ambient,

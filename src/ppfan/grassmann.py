@@ -354,7 +354,7 @@ def positive_fiber_part(n, part) -> Polyhedron:
     The fiber is x0 + emb(Y), x0 = section(c).  In E(n) it is conv(v1, v2)
     + emb(sigma_cone(n)), v_i the parts' pair indicators, and v_i - x0 lies
     in ker pi = emb(Q^n), so it is emb(y_i) with y_i = r(v_i - x0) as
-    r ∘ emb = id: Y = conv(y1, y2) + sigma_cone(n), one resumed step.
+    r ∘ emb = id: Y = conv(y1, y2) + sigma_cone(n), one signed pass.
     """
     B = part if isinstance(part, Partition) else Partition(n, part)
     setup = gr_setup(n)

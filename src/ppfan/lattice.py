@@ -11,7 +11,11 @@ All integer arithmetic is arbitrary precision, rationals are
 entries are ints or Fractions; a float is a ValueError, never rounded.
 `matrix_rank`, `rational_solve` and `rational_left_inverse` read the integer
 rows of the one fraction-free elimination `_vecops.rref`; the last two make
-their Fractions in a final division by each row's pivot entry.  `homogenise`
+their Fractions in a final division by each row's pivot entry.  Saturated
+kernels (`kernel_basis`, `quotient_projection`) are read off one Hermite
+normal form (`hnf_rows`) of the map's columns beside the identity, and
+`chow.build_setup` tells a saturated image by the HNF of the weights;
+`smith_normal_form` serves only `integral_section`.  `homogenise`
 needs no elimination: it scales a map to integer rows on homogeneous
 coordinates, and `polyhedra.linear_image` takes an image as one double
 description run on the generators sent through those rows.
@@ -299,13 +303,16 @@ def homogenise(entries, width):
 
 
 def _int_kernel_rows(matrix, ncols):
-    """HNF basis rows of the saturated kernel {x : matrix @ x = 0}."""
-    if not matrix:
-        return identity_matrix(ncols)
-    _, S, V = smith_normal_form(matrix)
-    r = sum(1 for i in range(min(len(S), ncols)) if S[i][i] != 0)
-    cols = [tuple(V[i][j] for i in range(ncols)) for j in range(r, ncols)]
-    return hnf_rows(cols, ncols)
+    """HNF basis rows of the saturated kernel {x : matrix @ x = 0}.
+
+    The rows (column j of matrix, e_j) span {(matrix @ x, x)}; the rows of
+    its HNF that vanish on the first len(matrix) columns span the part with
+    matrix @ x = 0, and, cut to the rest, are that kernel's HNF.
+    """
+    m = len(matrix)
+    h = hnf_rows([tuple(r[j] for r in matrix) + e for j, e in enumerate(identity_matrix(ncols))],
+                 m + ncols)
+    return tuple(r[m:] for r in h if not any(r[:m]))
 
 
 def kernel_basis(a: LatticeMap, name=None) -> LatticeMap:
@@ -333,6 +340,9 @@ def integral_section(pi: LatticeMap) -> LatticeMap:
     """A section s with pi ∘ s = id, from the Smith decomposition of pi.
 
     Requires pi surjective onto a free lattice (all elementary divisors 1).
+    This is the one caller of `smith_normal_form`: a section read off an HNF
+    is another section, and `setup` prints the section, whose coefficients
+    shift every `ppdivisor` coefficient, so the Smith one stays.
     """
     U, S, V = smith_normal_form(pi.entries)
     r = pi.rows

@@ -20,14 +20,14 @@ the run's own tight sets, the incidence of the rays it finds with the input
 rows.  So are a regular subdivision's cells (`lift_facets`).  Faces
 (`face_minimizing`) and tail cones (`Polyhedron.tail_cone`) are read the same
 way (``ppfan.dd.from_incidence``) off the object's cached incidence, with no
-run; translates and `Cone.to_polyhedron` carry the canonical data over.  The
-hull with one more vertex (`Polyhedron.with_vertex`) is one kernel step
-resumed from the cached incidence, the polar cone's minimal system, and a
+run; translates and `Cone.to_polyhedron` carry the canonical data over.  A
 pointed, full-dimensional cone plus a segment (`Polyhedron._plus_hull`, every
-Gr(2,n) coefficient) one signed pass over the cone's cached ridges.  An image
-under a linear map (`linear_image`) is one run on the images of the
-generators; a chamber of the quotient fan, one run resumed from a simplicial
-cone, its facets read off the run's tight sets.
+Gr(2,n) coefficient) is one signed pass over the cone's cached ridges, read
+off its incidence, the polar cone's minimal system; a cone plus any other
+hull is one run on the generators.  An image under a linear map
+(`linear_image`) is one run on the images of the generators; a chamber of
+the quotient fan, one run resumed from a simplicial cone, its facets read
+off the run's tight sets.
 Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
@@ -47,7 +47,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from ._vecops import (dot, frac_str, neg, primitive, ratio_str, reduce_mod_rows,
-                      rref, rref_primitive, scale_to_int, sign_canonical)
+                      rref, scale_to_int, sign_canonical)
 from . import dd
 from .dd import dd_pair, from_incidence, tight_masks
 from .lattice import homogenise, mat_vec
@@ -115,10 +115,6 @@ class Cone:
         if len(v) != self.dim_ambient:
             raise ValueError(f"point {tuple(v)!r} has length {len(v)}, expected {self.dim_ambient}")
         return all(dot(a, v) >= 0 for a in self.ineqs) and all(dot(e, v) == 0 for e in self.eqs)
-
-    def contains_cone(self, other):
-        gens = list(other.rays) + list(other.lineality) + [neg(l) for l in other.lineality]
-        return all(self.contains(g) for g in gens)
 
     def intersect(self, other):
         _check_same_ambient(self, other)
@@ -283,53 +279,28 @@ class Polyhedron:
                                     (1 << len(self.rays)) - 1, [e[:-1] for e in self.eqs])
         return Cone(self.ambient, self.dim_ambient, self.rays, self.lineality, ineqs, eqs)
 
-    def with_vertex(self, v):
-        """conv(self ∪ {v}): generated by self's generators and the vertex v.
-
-        One step of double description resumed from the canonical data (the
-        beneath–beyond step), not a run from scratch.  The polar of the
-        homogenisation cone C is generated by C's facet rows, with C's
-        equations as its lineality, and C's generators (vertices and rays as
-        inequalities) cut it out, so `_incidence` is a minimal system of the
-        polar with the right tight sets: the rows `_hom_rows[0]`, plus x0 >= 0
-        when it is a facet of C, that is, when its mask is contained in no
-        facet's (every face lies in a facet, and distinct faces have distinct
-        masks).  Adding the constraint hom(v) >= 0 to the polar gives the
-        polar of the cone over conv(self ∪ {v}) (Fukuda & Prodon, *Double
-        description method revisited*).  Its lineality is the new equations
-        (one fewer when v is off the affine hull), and its rays reduced modulo
-        them are the facets.  The recession cone, the face x0 = 0, does not
-        change, so the rays and lineality stay as they are and stay extreme;
-        a vertex is extreme exactly when every generator on all the facets
-        through it is a copy of it, as the extreme rays of a larger minimal
-        face lie on more facets.  Raises on an empty self.
-        """
-        _check_lengths(self.dim_ambient, [v], "vertex")
-        if self.empty:
-            raise ValueError("empty polyhedron has no generators to extend")
-        return self._moved(*self._hull_step([self._reduced(scale_to_int(tuple(v) + (1,)))]),
-                           (0,) * self.dim_ambient + (1,))
-
     def _plus_hull(self, hom_points):
         """self + conv(points), for a self whose one vertex is 0: a cone, or its face or image.
 
         The points are homogeneous integer rows (N, D), D > 0, in any positive
-        multiple.  With p the first, self + conv(points) = conv(self ∪ {q - p})
-        + p over the further points q: one signed pass (`_add_segment`) for one
-        q on a pointed, full-dimensional self, else one `with_vertex` step per
-        q, each resumed from the last; the move by p is made as rows are written.
+        multiple.  One point p gives the translate self + p.  Two points p, q
+        on a pointed, full-dimensional self give conv(self ∪ {q - p}) + p, one
+        signed pass (`_add_segment`) with the move by p made as rows are
+        written.  Anything else is one run on the points and self's rays and
+        lineality, which generate self + conv(points).
         """
         if self.points != ((0,) * self.dim_ambient + (1,),):
             raise ValueError("the hull is added only to a polyhedron whose one vertex is 0")
         hv, *rest = (self._reduced(p) for p in hom_points)
-        *a1, b1 = hv
-        # q - p as the homogeneous point (b1 a - b a1, b b1)
-        steps = [primitive([b1 * x - b * y for x, y in zip(a, a1)] + [b * b1]) for *a, b in rest]
-        if not steps:
+        if not rest:
             return self._moved(self.points, *self._hom_rows, hv)
-        if len(steps) == 1 and not self.eqs and not self.lineality:
-            return self._moved(*_add_segment(self, steps[0]), (), hv)
-        return self._moved(*self._hull_step(steps), hv)
+        if len(rest) > 1 or self.eqs or self.lineality:
+            return _from_hom_generators(self.ambient, self.dim_ambient, [hv, *rest],
+                                        self.rays, self.lineality)
+        (*a1, b1), (*a, b) = hv, rest[0]
+        # q - p as the homogeneous point (b1 a - b a1, b b1)
+        step = primitive([b1 * x - b * y for x, y in zip(a, a1)] + [b * b1])
+        return self._moved(*_add_segment(self, step), (), hv)
 
     def _reduced(self, hv):
         """The homogeneous point hv, primitive and reduced modulo the lineality."""
@@ -338,13 +309,18 @@ class Polyhedron:
 
     @cached_property
     def _ridges(self):
-        """(rows, masks, pairs) of the polar of the homogenisation; not a field.
+        """(rows, pairs) of the polar of the homogenisation; not a field.
 
-        The rows `_hom_rows[0]` with their `_incidence` masks, and x0 >= 0 when
-        it is a facet (`with_vertex`), are the polar's minimal system.  Rows
-        i < j meet in a ridge when no third row's mask contains the common part
-        of theirs: the combinatorial adjacency test (Fukuda & Prodon, *Double
-        description method revisited*), sound when self is full-dimensional.
+        The polar of the homogenisation cone C is generated by C's facet rows,
+        with C's equations as its lineality, and C's generators (vertices and
+        rays as inequalities) cut it out, so `_incidence` is a minimal system
+        of the polar with the right tight sets: the rows `_hom_rows[0]`, plus
+        x0 >= 0 when it is a facet of C, that is, when its mask is contained
+        in no facet's (every face lies in a facet, and distinct faces have
+        distinct masks).  Rows i < j meet in a ridge when no third row's mask
+        contains the common part of theirs: the combinatorial adjacency test
+        (Fukuda & Prodon, *Double description method revisited*), sound when
+        self is full-dimensional.
         """
         *facets, (x0_row, x0_mask) = self._incidence
         rows, masks = [a for a, _ in facets], [m for _, m in facets]
@@ -356,34 +332,7 @@ class Polyhedron:
             m = masks[i] & masks[j]
             if not any(k != i and k != j and z & m == m for k, z in enumerate(masks)):
                 pairs.append((i, j))
-        return tuple(rows), tuple(masks), tuple(pairs)
-
-    def _hull_step(self, hom_points):
-        """Points and homogeneous rows of conv(self ∪ points), the points `_reduced`."""
-        dim = self.dim_ambient + 1
-        verts, rays, _ = self._hom_gens
-        out, zsets, _ = self._ridges
-        eqs = lin = self._hom_rows[1]
-        nbit = len(verts) + len(rays)
-        for p in hom_points:
-            out, lin, zsets = dd.process(dim, [(p, False)], (out, zsets, lin, nbit))
-            nbit += 1
-        if len(lin) < len(eqs):
-            # the hull grew: fewer equations, and the rows to reduce modulo them
-            eqs = rref_primitive(lin, dim)
-            out = [reduce_mod_rows(a, eqs) for a in out]
-        # the vertex generators by bit: self's vertices, then the points after the rays
-        vbits = [*enumerate(verts), *enumerate(hom_points, len(verts) + len(rays))]
-        kept = []
-        for i, g in vbits:
-            common = (1 << nbit) - 1  # the generators on every facet through g
-            for z in zsets:
-                if z >> i & 1:
-                    common &= z
-            if not common & ~sum(1 << j for j, h in vbits if h == g):
-                kept.append(g)
-        # dict.fromkeys: a point may repeat a vertex
-        return list(dict.fromkeys(kept)), out, eqs
+        return tuple(rows), tuple(pairs)
 
     def _moved(self, points, ineqs, eqs, hv):
         """The polyhedron with self's rays and lineality and these points and homogeneous rows.
@@ -562,10 +511,11 @@ def _add_segment(p, s):
     """Homogeneous vertices and rows of p + conv(0, s), in one signed pass over p's ridges.
 
     p has the one vertex 0, no equations and no lineality; s = (s', s0) is a
-    primitive homogeneous point, s0 > 0.  This is `Polyhedron.with_vertex`'s
-    step on a pointed, full-dimensional start: the homogenisation C of p is
-    full-dimensional, so its polar is pointed, generated by `_ridges`' rows,
-    two of them adjacent exactly when they meet in a ridge of C.  Adding
+    primitive homogeneous point, s0 > 0.  This is one step of the double
+    description loop on the polar, made without the kernel: the
+    homogenisation C of p is full-dimensional, so its polar is pointed,
+    generated by `_ridges`' rows, two of them adjacent exactly when they
+    meet in a ridge of C.  Adding
     s >= 0 to the polar gives the polar of cone(C ∪ {s}), the homogenisation
     of conv(p ∪ {s}) = p + conv(0, s) (Fukuda & Prodon, *Double description
     method revisited*): its extreme rays are the rows h with h.s >= 0 and,
@@ -579,7 +529,7 @@ def _add_segment(p, s):
     some value is > 0 or all are 0, and likewise (at s', with -s') s' is a
     vertex iff some value is < 0.
     """
-    rows, _, ridges = p._ridges
+    rows, ridges = p._ridges
     vals = [dot(h, s) for h in rows]
     out = [h for h, v in zip(rows, vals) if v >= 0]
     for i, j in ridges:
@@ -1014,8 +964,8 @@ def common_refinement_fan(pi, max_chambers=10000) -> Fan:
         if label not in cache:
             own = bases[label[0]][0]
             rows = list(own) + sorted({a for S in label[1:] for a in bases[S][0]} - set(own))
-            vecs, _, zsets = dd.process(r, [(a, False) for a in rows[r:]],
-                                        ([primitive(cols[j]) for j in label[0]], tight, (), r))
+            sigma = ([primitive(cols[j]) for j in label[0]], tight, (), r)
+            vecs, _, zsets = dd.process(r, [(a, False) for a in rows[r:]], start=sigma)
             gens = sorted(zip(vecs, zsets))
             masks = {a: sum(1 << i for i, (_, z) in enumerate(gens) if z >> b & 1)
                      for b, a in enumerate(rows)}

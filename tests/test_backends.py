@@ -33,11 +33,14 @@ def test_dd_cone_calls_the_kernel_through_the_module_global(monkeypatch):
 
 
 def test_resumed_runs_go_through_the_module_global(monkeypatch):
-    # `Polyhedron.with_vertex` resumes the kernel for one constraint; the
-    # same wrapper sees that run, with its start state
-    from ppfan.polyhedra import Polyhedron
+    # the quotient-fan walk, the one caller that resumes the kernel, runs the
+    # support from scratch and each chamber from one of its basis cones; the
+    # same wrapper sees every run, with its start state
+    from ppfan.lattice import LatticeMap
+    from ppfan.polyhedra import common_refinement_fan
 
-    square = Polyhedron.from_generators("Q", 2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    # the Gale dual of four points on a line: four chambers
+    pi = LatticeMap(((1, 0, -3, 2), (0, 1, -2, 1)), "E", "C")
     calls = []
     kernel = dd.process
 
@@ -46,8 +49,9 @@ def test_resumed_runs_go_through_the_module_global(monkeypatch):
         return kernel(dim, constraints, start)
 
     monkeypatch.setattr(dd, "process", counting)
-    square.with_vertex((2, 2))
-    assert calls == [(3, 1, True)]
+    fan = common_refinement_fan(pi)
+    assert len(fan.cones()) == 4
+    assert calls == [(2, 4, False), (2, 1, True), (2, 2, True), (2, 0, True), (2, 1, True)]
 
 
 def test_dd_handles_duplicates_and_zero_rows():

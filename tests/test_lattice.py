@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ppfan._vecops import (primitive, reduce_mod_rows, rref, rref_primitive, scale_to_int,
@@ -11,6 +11,7 @@ from ppfan._vecops import (primitive, reduce_mod_rows, rref, rref_primitive, sca
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
+    _int_kernel_rows,
     check_retraction,
     hnf_rows,
     identity_matrix,
@@ -538,6 +539,53 @@ def test_scale_to_int_matches_reference(v):
     got = scale_to_int(v)
     assert got == ref_scale_to_int(v)
     assert type(got) is tuple and all(type(x) is int for x in got)
+
+
+# --- kernels and saturation by HNF, against the Smith normal form -----------
+
+
+def ref_int_kernel_rows(matrix, ncols):
+    """HNF basis of {x : matrix @ x = 0}: the last columns of V in U A V = S."""
+    if not matrix:
+        return identity_matrix(ncols)
+    _, S, V = smith_normal_form(matrix)
+    r = sum(1 for i in range(min(len(S), ncols)) if S[i][i] != 0)
+    return hnf_rows([tuple(V[i][j] for i in range(ncols)) for j in range(r, ncols)], ncols)
+
+
+def ref_saturated(deg):
+    """The columns span Z^rows: every elementary divisor is 1."""
+    _, S, _ = smith_normal_form(deg)
+    return all(S[i][i] == 1 for i in range(len(deg)))
+
+
+@st.composite
+def int_matrices(draw):
+    """(ncols, rows): 0-4 integer rows of width 1-6, with dependent and repeated rows."""
+    n = draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(-4, 4)] * n)
+    rows = draw(st.lists(row, max_size=4))
+    if rows and len(rows) < 4 and draw(st.booleans()):
+        # an integer combination of the others, or a multiple of one
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c, k = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        rows.append(tuple(k * a + c * b for a, b in zip(rows[i], rows[j])))
+    return n, tuple(draw(st.permutations(rows)))
+
+
+@HYP
+@given(int_matrices())
+@example((3, ()))
+@example((2, ((2, 4),)))  # spans 2Z: not saturated
+@example((2, ((2, 3),)))
+def test_kernel_and_saturation_match_smith_reference(mat):
+    from ppfan.chow import build_setup
+
+    n, rows = mat
+    assert _int_kernel_rows(rows, n) == ref_int_kernel_rows(rows, n)
+    if matrix_rank(rows) == len(rows):
+        deg = LatticeMap(rows, "E", "M", width=n)
+        assert build_setup(deg).saturated == ref_saturated(rows)
 
 
 def test_scale_to_int_fast_path_keeps_floats_out_and_bools_in():
