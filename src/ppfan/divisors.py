@@ -196,23 +196,20 @@ class Report:
 def check_subdivision_structure(fansy: FansyDivisor) -> Report:
     """Subdivision axioms per label, plus the tails forming a fan.
 
-    The distinct tails form a fan when `Fan.is_complete` certifies it;
-    otherwise `Fan.bad_pairs` names every pair that does not meet in a
-    common face.
+    The tails are checked as the subdivision of the whole space their cones
+    make (`Fan.subdivision`).  This is the fan condition: when every label
+    passes, that label's nonempty coefficients cover the space, so their
+    recession cones, the tails, cover it too; and cones that cover the space
+    form a fan exactly when they subdivide it.  Where a label fails, the
+    report fails whatever the tails do.
     """
     findings = []
     for label in fansy.labels:
         ok, cell_findings = fansy.subdivision_for(label).check()
         if not ok:
             findings.extend(f"label {label}: {f}" for f in cell_findings)
-    tails = []
-    for k, d in fansy.cells:
-        if not any(d.tail == c for _, c in tails):
-            tails.append((k, d.tail))
-    fan = Fan(fansy.ambient, fansy.dim_ambient, tuple(tails))
-    if not fan.is_complete():
-        findings.extend(f"tail cones of cells {k!r} and {l!r} do not meet in a common face"
-                        for k, l in fan.bad_pairs())
+    fan = Fan(fansy.ambient, fansy.dim_ambient, tuple((k, d.tail) for k, d in fansy.cells))
+    findings.extend("tail cones: " + f for f in fan.subdivision().check()[1])
     return Report(not findings, tuple(findings))
 
 

@@ -33,10 +33,11 @@ each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
 
 `Subdivision.check` first tries a facet-matching certificate (`_tiles`, which
-has the proof), in time linear in the number of facets; the same certificate
-shows that distinct cones form a complete fan (`Fan.is_complete`).  Only when
-it fails are the axioms checked pair by pair, for the findings.  Every
-Gr(2,n) subdivision and tail fan (n = 4 to 9) passes the certificate.
+has the proof), in time linear in the number of facets.  Only when it fails
+are the axioms checked pair by pair, for the findings, which name each cell
+by its label.  A fan is checked as the subdivision of the whole space that
+its cones make (`Fan.subdivision`).  Every Gr(2,n) subdivision and tail fan
+(n = 4 to 9) passes the certificate.
 """
 
 from collections import deque
@@ -55,11 +56,6 @@ from .lattice import homogenise, mat_vec
 
 class LatticeMismatch(ValueError):
     pass
-
-
-def _check_same_ambient(a, b):
-    if a.ambient != b.ambient:
-        raise LatticeMismatch(f"ambient lattices differ: {a.ambient!r} vs {b.ambient!r}")
 
 
 def _check_lengths(dim, vectors, what):
@@ -116,13 +112,6 @@ class Cone:
             raise ValueError(f"point {tuple(v)!r} has length {len(v)}, expected {self.dim_ambient}")
         return all(dot(a, v) >= 0 for a in self.ineqs) and all(dot(e, v) == 0 for e in self.eqs)
 
-    def intersect(self, other):
-        _check_same_ambient(self, other)
-        return Cone.from_ineqs(
-            self.ambient, self.dim_ambient,
-            self.ineqs + other.ineqs, self.eqs + other.eqs,
-        )
-
     @cached_property
     def _incidence(self):
         """(row, bitmask of the rays it is tight on) for each facet row; not a field."""
@@ -133,9 +122,6 @@ class Cone:
         if not self.ineqs:
             return tuple(0 for _ in range(self.dim_ambient))
         return tuple(sum(a[i] for a in self.ineqs) for i in range(self.dim_ambient))
-
-    def relative_interior_point(self):
-        return tuple(sum(r[i] for r in self.rays) for i in range(self.dim_ambient))
 
     def to_polyhedron(self):
         """The cone as a polyhedron with the one vertex 0, without double description.
@@ -582,7 +568,8 @@ def face_minimizing(p: Polyhedron, u):
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    _check_same_ambient(p, q)
+    if p.ambient != q.ambient:
+        raise LatticeMismatch(f"ambient lattices differ: {p.ambient!r} vs {q.ambient!r}")
     if p.empty or q.empty:
         return Polyhedron.empty_in(p.ambient, p.dim_ambient)
     return Polyhedron.from_halfspaces(
@@ -656,23 +643,14 @@ class Fan:
             out.update(c.rays)
         return tuple(sorted(out))
 
-    def bad_pairs(self):
-        """The label pairs, in order, whose cones do not meet in a common face of both.
+    def subdivision(self):
+        """The subdivision of the whole space that the cones must make, each cone as a polyhedron.
 
-        Each pair is intersected as polyhedra and the meet tested by
-        `Polyhedron.is_face_of`, as in `Subdivision.check`.
+        Cones form a complete fan exactly when they subdivide the space, and
+        `Cone.to_polyhedron` runs no double description.
         """
-        polys = [(label, c.to_polyhedron()) for label, c in self.maximal]
-        bad = []
-        for (k, p), (l, q) in combinations(polys, 2):
-            meet = intersect(p, q)
-            if not (meet.is_face_of(p) and meet.is_face_of(q)):
-                bad.append((k, l))
-        return bad
-
-    def is_complete(self):
-        """The cones form a complete fan, by the facet-matching certificate `_tiles`."""
-        return _tiles(self.cones(), self.dim_ambient)
+        return Subdivision(self.ambient, self.dim_ambient,
+                           tuple((label, c.to_polyhedron()) for label, c in self.maximal))
 
     def to_json(self):
         return {
@@ -698,17 +676,22 @@ class Subdivision:
     support: object = None  # Polyhedron or None
 
     def maximal_cells(self):
-        """Distinct cells that are not proper faces of another cell.
+        """(label, cell) for the distinct cells that are not proper faces of another cell.
 
         Several labels may repeat one cell, and a cell may be a face of a
         bigger one (charts of degenerate weight configurations do both); the
-        complex is generated by the survivors.
+        complex is generated by the survivors, each named by the first label
+        that carries it.
         """
-        reps = list(dict.fromkeys(p for _, p in self.cells if not p.empty))
+        first = {}
+        for label, p in self.cells:
+            first.setdefault(p, label)
+        reps = [(label, p) for p, label in first.items() if not p.empty]
         # a proper face has a smaller dimension
-        if len({p.dim for p in reps}) == 1:
+        if len({p.dim for _, p in reps}) == 1:
             return reps
-        return [p for p in reps if not any(q.dim > p.dim and p.is_face_of(q) for q in reps)]
+        return [(l, p) for l, p in reps
+                if not any(q.dim > p.dim and p.is_face_of(q) for _, q in reps)]
 
     def check(self):
         """Verify the subdivision axioms; returns (ok, findings).
@@ -718,37 +701,33 @@ class Subdivision:
         with exactly one cell on its other side or lies on the support's
         boundary, and one interior point is covered once, the cells
         subdivide the support and the answer is (True, []).  Otherwise the
-        axioms are checked one by one, and the findings name what broke:
-        each pair of cells is intersected by double description, which also
-        gives the witness of an overlap.  Facets are read off each cell's
-        generators (`_coverage_findings`), without double description.
+        axioms are checked one by one, and the findings name what broke, each
+        maximal cell by its label (`maximal_cells`): each pair of cells is
+        intersected by double description, which also gives the witness of
+        an overlap.  Facets are read off each cell's generators
+        (`_coverage_findings`), without double description.
         """
-        findings = []
         if all(p.empty for _, p in self.cells):
-            findings.append("no nonempty cells")
-            return False, findings
+            return False, ["no nonempty cells"]
         dim = self.dim_ambient if self.support is None else self.support.dim
         maximal = self.maximal_cells()
-        if _tiles(maximal, dim, self.support):
+        if _tiles([p for _, p in maximal], dim, self.support):
             return True, []
-        cells = list(enumerate(maximal))
-        for i, p in cells:
+        findings = []
+        for l, p in maximal:
             if p.dim != dim:
-                findings.append(f"maximal cell {i} has dimension {p.dim}, expected {dim}")
+                findings.append(f"maximal cell {l!r} has dimension {p.dim}, expected {dim}")
             if self.support is not None and not _subset_of(p, self.support):
-                findings.append(f"maximal cell {i} leaves the declared support")
-        for i, pi_ in cells:
-            for j, pj in cells:
-                if j <= i:
-                    continue
-                meet = intersect(pi_, pj)
-                if not meet.empty and meet.dim == dim:
-                    witness = [frac_str(x) for x in meet.relative_interior_point()]
-                    findings.append(f"cells {i} and {j} overlap in interiors; witness {witness}")
-                    continue
-                if not (meet.is_face_of(pi_) and meet.is_face_of(pj)):
-                    findings.append(f"cells {i} and {j} do not meet in a common face")
-        findings.extend(self._coverage_findings(cells, dim))
+                findings.append(f"maximal cell {l!r} leaves the declared support")
+        for (k, p), (l, q) in combinations(maximal, 2):
+            meet = intersect(p, q)
+            if not meet.empty and meet.dim == dim:
+                witness = [frac_str(x) for x in meet.relative_interior_point()]
+                findings.append(f"cells {k!r} and {l!r} overlap in interiors; witness {witness}")
+                continue
+            if not (meet.is_face_of(p) and meet.is_face_of(q)):
+                findings.append(f"cells {k!r} and {l!r} do not meet in a common face")
+        findings.extend(self._coverage_findings(maximal, dim))
         return not findings, findings
 
     def _coverage_findings(self, cells, dim):
@@ -759,7 +738,7 @@ class Subdivision:
         # cell's vertices and rays on h = 0 and its lineality.
         findings = []
         boundary = () if self.support is None else self.support._hom_rows[0]
-        for i, p in cells:
+        for l, p in cells:
             if p.dim != dim:
                 continue
             verts, rays, lin = p._hom_gens
@@ -769,7 +748,7 @@ class Subdivision:
                     continue
                 if any(all(dot(b, g) == 0 for g in on + list(lin)) for b in boundary):
                     continue
-                findings.append(f"facet of cell {i} is uncovered (normal {row[:-1]})")
+                findings.append(f"facet of cell {l!r} is uncovered (normal {row[:-1]})")
         return findings
 
     def to_json(self):
@@ -791,9 +770,10 @@ def _subset_of(p, q):
 def _tiles(cells, dim, support=None):
     """True when the distinct `cells` provably subdivide `support`; False when undecided.
 
-    The cells are all Polyhedron (in homogeneous coordinates) or all Cone,
-    and `support` (a Polyhedron) None means the whole ambient space.  The
-    certificate reads only the rows and generators the cells hold:
+    The cells are Polyhedra, read in homogeneous coordinates (a fan's cones
+    as `Cone.to_polyhedron`), and `support` (a Polyhedron) None means the
+    whole ambient space.  The certificate reads only the rows and generators
+    the cells hold:
 
     (a) every cell has dimension `dim` and the first cell's lineality, and
         lies in the support;
@@ -843,11 +823,8 @@ def _tiles(cells, dim, support=None):
         return False
     sides = {}  # key -> [cell with the canonical row, cell with its negation]
     for i, c in enumerate(cells):
-        if isinstance(c, Cone):
-            rows, gens = c.ineqs, c.rays
-        else:
-            rows, gens = c._hom_rows[0], c._hom_gens[0] + c._hom_gens[1]
-        for h in rows:
+        gens = c._hom_gens[0] + c._hom_gens[1]
+        for h in c._hom_rows[0]:
             key = (sign_canonical(h), frozenset(g for g in gens if dot(h, g) == 0))
             side = sides.setdefault(key, [None, None])
             s = key[0] != h

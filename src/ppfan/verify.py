@@ -142,7 +142,7 @@ def check_tail_fans(k, n):
         return False, f"{len(fan.maximal)} cones, expected {comb(n, k)}"
     if any(not c.is_pointed for _, c in fan.maximal):
         return False, "non-pointed maximal cone"
-    if not fan.is_complete():
+    if not fan.subdivision().check()[0]:
         return False, "fan is not complete"
     chart = tail_cone_chart(set(range(1, n)) - {k}, n)
     gens = set()

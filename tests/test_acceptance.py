@@ -160,7 +160,7 @@ def test_07_tail_fans(k, n, capsys):
     fan = gr.tail_fan(k, n)
     assert len(fan.maximal) == comb(n, k)
     assert all(c.is_pointed and c.dim == n - 1 for _, c in fan.maximal)
-    assert fan.is_complete()
+    assert fan.subdivision().check() == (True, [])
     rs = gr.RootSystemA(n)
     chart = gr.tail_cone_chart(set(range(1, n)) - {k}, n)  # includes the orbit cross-check
     gens = [rs.ell(i) if i <= k else tuple(-x for x in rs.ell(i)) for i in range(1, n + 1)]
@@ -256,10 +256,7 @@ def test_11d_section_independence(capsys):
         if deg.rank() != 2:
             continue
         setup = chow.build_setup(deg)
-        try:
-            rec1 = chow.pp_from_weights(setup)
-        except ValueError:
-            continue
+        rec1 = chow.pp_from_weights(setup)
         R = tuple(tuple(rng.randint(-2, 2) for _ in range(setup.pi.rows))
                   for _ in range(setup.dstar.cols))
         shift = mat_mul(setup.dstar.entries, R)

@@ -202,7 +202,8 @@ def test_structure_check_catches_overlap():
 def test_structure_check_names_the_one_bad_tail_pair():
     # the first quadrant and the cone over (1, 1), (-1, 1) overlap in a
     # 2-dimensional cone, a face of neither; each meets the fourth-quadrant
-    # cone over (0, -1), (1, -1) in the vertex 0, a face of both
+    # cone over (0, -1), (1, -1) in the vertex 0, a face of both.  The three
+    # cones do not cover the plane, so four of their facets are uncovered.
     lab = Label.named("D")
     quadrant = Cone.from_rays("N", 2, [(1, 0), (0, 1)])
     wedge = Cone.from_rays("N", 2, [(1, 1), (-1, 1)])
@@ -210,29 +211,48 @@ def test_structure_check_names_the_one_bad_tail_pair():
     f = FansyDivisor("N", 2, (lab,), tuple(
         (key, PPDivisor("N", 2, c, ((lab, c.to_polyhedron()),)))
         for key, c in (("a", quadrant), ("b", wedge), ("c", below))))
-    fan = Fan("N", 2, tuple((k, d.tail) for k, d in f.cells))
-    assert not fan.is_complete()
-    assert fan.bad_pairs() == [("a", "b")]
     rep = check_subdivision_structure(f)
     assert not rep.passed
     tail_findings = [s for s in rep.findings if s.startswith("tail cones")]
-    assert tail_findings == ["tail cones of cells 'a' and 'b' do not meet in a common face"]
+    assert tail_findings == [
+        "tail cones: cells 'a' and 'b' overlap in interiors; witness ['1', '2']",
+        "tail cones: facet of cell 'a' is uncovered (normal (0, 1))",
+        "tail cones: facet of cell 'b' is uncovered (normal (1, 1))",
+        "tail cones: facet of cell 'c' is uncovered (normal (-1, -1))",
+        "tail cones: facet of cell 'c' is uncovered (normal (1, 0))"]
+
+
+def test_structure_check_names_label_and_cells_on_gr5():
+    # translating one coefficient of the Gr(2,5) closed form breaks that
+    # label's subdivision, and each finding names the label and the cells
+    from dataclasses import replace
+    from ppfan.grassmann import fansy_closed_form
+
+    fansy = fansy_closed_form(5)
+    (key, d), rest = fansy.cells[0], fansy.cells[1:]
+    (label, p), others = d.terms[0], d.terms[1:]
+    moved = p.translate((1,) + (0,) * (p.dim_ambient - 1))
+    broken = replace(fansy, cells=((key, replace(d, terms=((label, moved),) + others)),) + rest)
+    rep = check_subdivision_structure(broken)
+    assert not rep.passed
+    assert key == (1, 2) and label == Label.partition((1, 2), 5)
+    assert all(f.startswith(f"label {label}: ") and "(1, 2)" in f for f in rep.findings)
+    assert rep.findings[0] == (f"label {label}: cells (1, 2) and (1, 3) "
+                               "do not meet in a common face")
 
 
 @pytest.mark.parametrize("k", [4, 6])
 def test_structure_check_passes_on_a_line_by_pairs(k):
-    # the tails [0, oo), {0} and (-oo, 0] defeat the facet certificate, since
-    # {0} is not full-dimensional, so the fan is checked pair by pair
+    # the tails are [0, oo), {0} and (-oo, 0]; {0} is a face of the other
+    # two, so `maximal_cells` drops it and the two half-lines tile the line
     setup = build_setup(LatticeMap(((1,) * k, tuple(range(k))), "E", "M"))
     fansy = projectivize(setup, pp_from_weights(setup), verify=False)
-    tails = []
-    for key, d in fansy.cells:
-        if not any(d.tail == c for _, c in tails):
-            tails.append((key, d.tail))
-    assert sorted((c.rays, c.lineality) for _, c in tails) == [
-        ((), ()), (((-1,),), ()), (((1,),), ())]
-    fan = Fan(fansy.ambient, fansy.dim_ambient, tuple(tails))
-    assert not fan.is_complete() and fan.bad_pairs() == []
+    fan = Fan(fansy.ambient, fansy.dim_ambient, tuple((key, d.tail) for key, d in fansy.cells))
+    assert {(c.rays, c.lineality) for c in fan.cones()} == {
+        ((), ()), (((-1,),), ()), (((1,),), ())}
+    tails = fan.subdivision()
+    assert sorted(p.rays for _, p in tails.maximal_cells()) == [((-1,),), ((1,),)]
+    assert tails.check() == (True, [])
     rep = check_subdivision_structure(fansy)
     assert rep.passed, rep.findings
 

@@ -103,7 +103,7 @@ def test_tail_fan_complete_pointed(k, n):
     fan = tail_fan(k, n)
     assert len(fan.maximal) == comb(n, k)
     assert all(c.is_pointed for _, c in fan.maximal)
-    assert fan.is_complete()
+    assert fan.subdivision().check() == (True, [])
 
 
 def test_tail_fan_13_equals_projected_orthants():

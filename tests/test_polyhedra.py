@@ -222,6 +222,16 @@ def test_face_is_subset_and_attains_min():
 
 
 # --- intersections ---------------------------------------------------------
+#
+# ref_cone_intersect is the intersection of two cones by one run on both
+# inequality systems.  The library intersects only polyhedra; the tests use
+# this to check the meets of chambers and tail cones.
+
+
+def ref_cone_intersect(a, b):
+    assert a.ambient == b.ambient
+    return Cone.from_ineqs(a.ambient, a.dim_ambient, a.ineqs + b.ineqs, a.eqs + b.eqs)
+
 
 def test_intersect_self():
     p = poly_V([(0, 0), (1, 2)], rays=[(1, 0)])
@@ -240,7 +250,7 @@ def test_intersect_grass_tail_cones():
     fan = tail_fan(2, 4)
     c12 = dict(fan.maximal)[(1, 2)]
     c13 = dict(fan.maximal)[(1, 3)]
-    meet = c12.intersect(c13)
+    meet = ref_cone_intersect(c12, c13)
     want = Cone.from_rays("Lstar(4)", 3, [(-1, 0, 0), (-1, -1, -1)])
     assert meet == want
     assert meet.dim == 2
@@ -338,7 +348,8 @@ def check_chamber_fan(pi, fan, xs):
     images = [Cone.from_rays(name, r, [cols[j] for j in range(pi.cols) if mask >> j & 1])
               for mask in range(1 << pi.cols)]
     cones = fan.cones()
-    assert fan.bad_pairs() == []
+    chambers = tuple((label, c.to_polyhedron()) for label, c in fan.maximal)
+    assert Subdivision(name, r, chambers, support.to_polyhedron()).check() == (True, [])
     assert all(c.dim == r for c in cones)
     for x in xs:
         hits = [c for c in cones if c.contains(x)]
@@ -359,7 +370,7 @@ def check_chamber_fan(pi, fan, xs):
             assert len(shared) == (0 if on_boundary else 1), f.rays
             # adjacent chambers meet in exactly the shared facet; the walk checks
             # this by a half-space test, here it is the intersection itself
-            assert all(c.intersect(d) == f for d in shared), f.rays
+            assert all(ref_cone_intersect(c, d) == f for d in shared), f.rays
 
 
 def test_refinement_identity_quadrants():
@@ -368,7 +379,9 @@ def test_refinement_identity_quadrants():
     assert len(fan.maximal) == 1
     assert fan.rays() == ((0, 1), (1, 0))
     assert fan.labels() == [((0, 1),)]
-    assert fan.bad_pairs() == []
+    quadrant = Polyhedron.from_generators("N", 2, [(0, 0)], [(1, 0), (0, 1)])
+    chambers = tuple((label, c.to_polyhedron()) for label, c in fan.maximal)
+    assert Subdivision("N", 2, chambers, quadrant).check() == (True, [])
 
 
 def test_refinement_row_map():
@@ -579,7 +592,7 @@ def test_refinement_sampling_oracle(pi, data):
     fan = common_refinement_fan(pi)
     xs = data.draw(st.lists(st.tuples(*[_rats] * pi.rows), min_size=8, max_size=8))
     # the fan's own rays and cone centres exercise boundaries and interiors
-    xs += list(fan.rays()) + [c.relative_interior_point() for c in fan.cones()]
+    xs += list(fan.rays()) + [c.to_polyhedron().relative_interior_point() for c in fan.cones()]
     check_chamber_fan(pi, fan, xs)
     check_chambers(pi, fan)
 
@@ -762,7 +775,7 @@ def ref_coverage_findings(sub, cells, dim):
             if sub.support is not None and any(ref_tight_on(r, facet)
                                                for r in sub.support.ineqs):
                 continue
-            findings.append(f"facet of cell {i} is uncovered (normal {row[:-1]})")
+            findings.append(f"facet of cell {i!r} is uncovered (normal {row[:-1]})")
     return findings
 
 
@@ -1057,7 +1070,7 @@ def cone_pairs(draw):
         rows = draw(st.lists(st.sampled_from(other.ineqs), max_size=2)) if other.ineqs else []
         c = Cone.from_ineqs("Q", d, other.ineqs, other.eqs + tuple(rows))
     elif kind == "meet":
-        c = other.intersect(cone())
+        c = ref_cone_intersect(other, cone())
     elif kind == "self":
         c = other
     else:
@@ -1090,7 +1103,7 @@ def test_coverage_matches_rebuild(points, data):
     support = data.draw(st.sampled_from([sub.support, None]))
     sub = Subdivision("Q", 2, cells, support)
     dim = 2 if support is None else support.dim
-    maximal = list(enumerate(sub.maximal_cells()))
+    maximal = sub.maximal_cells()
     assert sub._coverage_findings(maximal, dim) == ref_coverage_findings(sub, maximal, dim)
 
 
@@ -1099,7 +1112,8 @@ def test_coverage_matches_rebuild(points, data):
 # ref_check is Subdivision.check as it was before pairs and facets were
 # decided on the cells' own generators: every pair of maximal cells is
 # intersected by double description, and every facet is rebuilt from its
-# tight row (ref_coverage_findings).
+# tight row (ref_coverage_findings).  Findings name each maximal cell by the
+# first label that carries it.
 
 
 def ref_check(sub):
@@ -1108,23 +1122,21 @@ def ref_check(sub):
         findings.append("no nonempty cells")
         return False, findings
     dim = sub.dim_ambient if sub.support is None else sub.support.dim
-    cells = list(enumerate(sub.maximal_cells()))
+    cells = sub.maximal_cells()
     for i, p in cells:
         if p.dim != dim:
-            findings.append(f"maximal cell {i} has dimension {p.dim}, expected {dim}")
+            findings.append(f"maximal cell {i!r} has dimension {p.dim}, expected {dim}")
         if sub.support is not None and not _subset_of(p, sub.support):
-            findings.append(f"maximal cell {i} leaves the declared support")
-    for i, pi_ in cells:
-        for j, pj in cells:
-            if j <= i:
-                continue
+            findings.append(f"maximal cell {i!r} leaves the declared support")
+    for a, (i, pi_) in enumerate(cells):
+        for j, pj in cells[a + 1:]:
             meet = intersect(pi_, pj)
             if not meet.empty and meet.dim == dim:
                 witness = [frac_str(x) for x in meet.relative_interior_point()]
-                findings.append(f"cells {i} and {j} overlap in interiors; witness {witness}")
+                findings.append(f"cells {i!r} and {j!r} overlap in interiors; witness {witness}")
                 continue
             if not (meet.is_face_of(pi_) and meet.is_face_of(pj)):
-                findings.append(f"cells {i} and {j} do not meet in a common face")
+                findings.append(f"cells {i!r} and {j!r} do not meet in a common face")
     findings.extend(ref_coverage_findings(sub, cells, dim))
     return not findings, findings
 
@@ -1206,7 +1218,7 @@ def test_check_decides_two_cells(other, meet):
     sub = Subdivision("Q", 2, (("square", _SQUARE), ("other", other)))
     ok, findings = sub.check()
     assert (ok, findings) == ref_check(sub)
-    pair = [meet in f for f in findings if f.startswith("cells 0 and 1")]
+    pair = [meet in f for f in findings if f.startswith("cells 'square' and 'other'")]
     assert pair == ([] if meet is None else [True])
 
 
@@ -1257,7 +1269,8 @@ def test_subdivision_check_runs_no_dd_on_gr5(monkeypatch):
     monkeypatch.setattr(dd, "dd_cone", counting_dd)
     monkeypatch.setattr(Subdivision, "check", counting_check)
     assert check_subdivision_structure(fansy).passed
-    assert len(checks) == len(fansy.labels) and inside == []
+    # one check per label and one of the tail cones, as polyhedra
+    assert len(checks) == len(fansy.labels) + 1 and inside == []
 
 
 # --- the facet-matching certificate -----------------------------------------
@@ -1268,7 +1281,7 @@ def test_subdivision_check_runs_no_dd_on_gr5(monkeypatch):
 
 def _certified(sub):
     dim = sub.dim_ambient if sub.support is None else sub.support.dim
-    return _tiles(sub.maximal_cells(), dim, sub.support)
+    return _tiles([p for _, p in sub.maximal_cells()], dim, sub.support)
 
 
 @settings(HYP, max_examples=300)
@@ -1313,35 +1326,42 @@ def test_certificate_accepts_intact_and_rejects_mutants(sub):
 
 
 def test_certificate_on_cones():
+    # a fan's cones are certified as the polyhedra `Fan.subdivision` makes of them
     from ppfan.grassmann import tail_fan
+
+    def polys(*cones):
+        return [c.to_polyhedron() for c in cones]
 
     cones = tail_fan(2, 5).cones()
     d = cones[0].dim_ambient
-    assert _tiles(cones, d)
-    assert not _tiles(cones[1:], d)                   # a hole
+    assert _tiles(polys(*cones), d)
+    assert not _tiles(polys(*cones[1:]), d)           # a hole
     # the positive orthant overlaps four of the cones: not a tiling
     orthant = Cone.from_rays(cones[0].ambient, d, [tuple(int(i == j) for j in range(d))
                                                    for i in range(d)])
-    assert sum(c.intersect(orthant).dim == d for c in cones) == 4
-    assert not _tiles(cones + [orthant], d)
+    assert sum(ref_cone_intersect(c, orthant).dim == d for c in cones) == 4
+    assert not _tiles(polys(*cones, orthant), d)
     # the upper half-plane over two quadrants: facets do not match
     up = Cone.from_rays("A", 2, [(0, 1)], [(1, 0)])
     q3 = Cone.from_rays("A", 2, [(-1, 0), (0, -1)])
     q4 = Cone.from_rays("A", 2, [(1, 0), (0, -1)])
     low = Cone.from_rays("A", 2, [(0, -1)], [(1, 0)])
-    assert not _tiles([up, q3, q4], 2)
-    # each bad meet is a ray, a face of the quadrant but not of the half-plane
-    assert Fan("A", 2, (("q3", q3), ("up", up), ("q4", q4))).bad_pairs() == [
-        ("q3", "up"), ("up", "q4")]
-    assert _tiles([up, low], 2)
-    assert not _tiles([up, low, q4], 2)
+    assert not _tiles(polys(up, q3, q4), 2)
+    # each bad meet is a ray, a face of the quadrant but not of the half-plane,
+    # and the half-plane's boundary line is the facet of no other cone
+    assert Fan("A", 2, (("q3", q3), ("up", up), ("q4", q4))).subdivision().check() == (False, [
+        "cells 'q3' and 'up' do not meet in a common face",
+        "cells 'up' and 'q4' do not meet in a common face",
+        "facet of cell 'up' is uncovered (normal (0, 1))"])
+    assert _tiles(polys(up, low), 2)
+    assert not _tiles(polys(up, low, q4), 2)
     # two complete fans overlaid: every facet matches, every point is covered twice
     quadrants = [Cone.from_rays("A", 2, [a, b]) for a, b in
                  [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]]
     diagonal = [Cone.from_rays("A", 2, [a, b]) for a, b in
                 [((1, 1), (-1, 1)), ((-1, 1), (-1, -1)), ((-1, -1), (1, -1)), ((1, -1), (1, 1))]]
-    assert _tiles(quadrants, 2) and _tiles(diagonal, 2)
-    assert not _tiles(quadrants + diagonal, 2)
+    assert _tiles(polys(*quadrants), 2) and _tiles(polys(*diagonal), 2)
+    assert not _tiles(polys(*quadrants, *diagonal), 2)
 
 
 def test_certificate_rejects_two_overlaid_subdivisions():
