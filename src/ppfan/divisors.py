@@ -9,6 +9,7 @@ the base variety itself (semiampleness of the locus divisors) are out of
 reach of pure combinatorics and are reported as assumptions, not checked.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,13 +202,14 @@ def check_subdivision_structure(fansy: FansyDivisor) -> Report:
     passes, that label's nonempty coefficients cover the space, so their
     recession cones, the tails, cover it too; and cones that cover the space
     form a fan exactly when they subdivide it.  Where a label fails, the
-    report fails whatever the tails do.
+    report fails whatever the tails do.  A label's findings start with its
+    JSON, as the CLI prints it.
     """
     findings = []
     for label in fansy.labels:
         ok, cell_findings = fansy.subdivision_for(label).check()
         if not ok:
-            findings.extend(f"label {label}: {f}" for f in cell_findings)
+            findings.extend(f"label {json.dumps(label.to_json())}: {f}" for f in cell_findings)
     fan = Fan(fansy.ambient, fansy.dim_ambient, tuple((k, d.tail) for k, d in fansy.cells))
     findings.extend("tail cones: " + f for f in fan.subdivision().check()[1])
     return Report(not findings, tuple(findings))

@@ -372,7 +372,7 @@ def positive_fiber_part(n, part) -> Polyhedron:
 # the fansy divisor, two ways
 
 # the largest n of `ppfan verify`, and of the recipe route unless `max_n` (`--max-n`) raises it
-MAX_N = 9
+MAX_N = 11
 
 
 def fansy_closed_form(n) -> FansyDivisor:

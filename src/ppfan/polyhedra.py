@@ -32,12 +32,12 @@ Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
 (`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
 
-`Subdivision.check` first tries a facet-matching certificate (`_tiles`, which
-has the proof), in time linear in the number of facets.  Only when it fails
-are the axioms checked pair by pair, for the findings, which name each cell
-by its label.  A fan is checked as the subdivision of the whole space that
-its cones make (`Fan.subdivision`).  Every Gr(2,n) subdivision and tail fan
-(n = 4 to 9) passes the certificate.
+`Subdivision.check` is one facet-matching certificate (`_tiles`, which has
+the proofs that it is sound and complete), in time linear in the number of
+facets and with no double description.  When it fails, each finding names
+the cells that broke it by their labels.  A fan is checked as the
+subdivision of the whole space that its cones make (`Fan.subdivision`).
+Every Gr(2,n) subdivision and tail fan (n = 4 to 11) passes the certificate.
 """
 
 from collections import deque
@@ -631,12 +631,6 @@ class Fan:
     dim_ambient: int
     maximal: tuple  # of (label, Cone)
 
-    def cones(self):
-        return [c for _, c in self.maximal]
-
-    def labels(self):
-        return [l for l, _ in self.maximal]
-
     def rays(self):
         out = set()
         for _, c in self.maximal:
@@ -696,60 +690,15 @@ class Subdivision:
     def check(self):
         """Verify the subdivision axioms; returns (ok, findings).
 
-        The maximal cells are first tried by the facet-matching certificate
-        `_tiles` (its docstring has the proof): when every facet is shared
-        with exactly one cell on its other side or lies on the support's
-        boundary, and one interior point is covered once, the cells
-        subdivide the support and the answer is (True, []).  Otherwise the
-        axioms are checked one by one, and the findings name what broke, each
-        maximal cell by its label (`maximal_cells`): each pair of cells is
-        intersected by double description, which also gives the witness of
-        an overlap.  Facets are read off each cell's generators
-        (`_coverage_findings`), without double description.
+        The maximal cells (`maximal_cells`) are decided by the facet-matching
+        certificate `_tiles`, which is complete as well as sound (its
+        docstring has both proofs): (True, []) when the cells subdivide the
+        support face to face, and otherwise what broke, each cell named by
+        its label.  No double description runs.
         """
-        if all(p.empty for _, p in self.cells):
-            return False, ["no nonempty cells"]
         dim = self.dim_ambient if self.support is None else self.support.dim
-        maximal = self.maximal_cells()
-        if _tiles([p for _, p in maximal], dim, self.support):
-            return True, []
-        findings = []
-        for l, p in maximal:
-            if p.dim != dim:
-                findings.append(f"maximal cell {l!r} has dimension {p.dim}, expected {dim}")
-            if self.support is not None and not _subset_of(p, self.support):
-                findings.append(f"maximal cell {l!r} leaves the declared support")
-        for (k, p), (l, q) in combinations(maximal, 2):
-            meet = intersect(p, q)
-            if not meet.empty and meet.dim == dim:
-                witness = [frac_str(x) for x in meet.relative_interior_point()]
-                findings.append(f"cells {k!r} and {l!r} overlap in interiors; witness {witness}")
-                continue
-            if not (meet.is_face_of(p) and meet.is_face_of(q)):
-                findings.append(f"cells {k!r} and {l!r} do not meet in a common face")
-        findings.extend(self._coverage_findings(maximal, dim))
+        findings = _tiles(self.maximal_cells(), dim, self.support)
         return not findings, findings
-
-    def _coverage_findings(self, cells, dim):
-        # every facet of every maximal cell must either be a wall shared with
-        # another cell or lie in the boundary of the declared support.  The
-        # rows of a cell are its facets, so only cells of dimension dim have
-        # facets of dimension dim - 1; the facet on row h is generated by the
-        # cell's vertices and rays on h = 0 and its lineality.
-        findings = []
-        boundary = () if self.support is None else self.support._hom_rows[0]
-        for l, p in cells:
-            if p.dim != dim:
-                continue
-            verts, rays, lin = p._hom_gens
-            for row, h in zip(p.ineqs, p._hom_rows[0]):
-                on = [g for g in verts + rays if dot(h, g) == 0]
-                if any(q is not p and _gens_in(q, on, lin) for _, q in cells):
-                    continue
-                if any(all(dot(b, g) == 0 for g in on + list(lin)) for b in boundary):
-                    continue
-                findings.append(f"facet of cell {l!r} is uncovered (normal {row[:-1]})")
-        return findings
 
     def to_json(self):
         return {
@@ -768,19 +717,22 @@ def _subset_of(p, q):
 
 
 def _tiles(cells, dim, support=None):
-    """True when the distinct `cells` provably subdivide `support`; False when undecided.
+    """The facet-matching certificate on (label, cell) pairs; [] iff they subdivide `support`.
 
-    The cells are Polyhedra, read in homogeneous coordinates (a fan's cones
-    as `Cone.to_polyhedron`), and `support` (a Polyhedron) None means the
-    whole ambient space.  The certificate reads only the rows and generators
-    the cells hold:
+    The cells are distinct Polyhedra, read in homogeneous coordinates (a
+    fan's cones as `Cone.to_polyhedron`), and `support` (a Polyhedron) None
+    means the whole ambient space.  The certificate reads only the rows and
+    generators the cells hold, and each stage reports what broke there,
+    naming the cells by their labels:
 
     (a) every cell has dimension `dim` and the first cell's lineality, and
-        lies in the support;
+        lies in the support; the stages below run only when (a) holds;
     (b) each facet is keyed by its row up to sign and the cell's generators
-        on it; no key has two cells on one side of its row, and a key with
-        one cell lies on a facet row of the support;
-    (c) a relative interior point of the first cell lies in no other cell.
+        on it; no key has two cells on one side of its row (they overlap
+        beside that facet), and a key with one cell lies on a facet row of
+        the support (otherwise no cell shares that facet from across);
+    (c) when (a) and (b) hold, a relative interior point of the first cell
+        lies in no other cell.
 
     Soundness.  By (a) the cells span the affine hull A of the support S.  A
     key fixes the facet (its generators plus the common lineality), so two
@@ -813,31 +765,62 @@ def _tiles(cells, dim, support=None):
     closed, so it contains all of F.  The smallest face of P holding a
     relative interior point of the convex set P ∩ Q contains it, so
     P ∩ Q ⊆ F ⊆ P ∩ Q: P ∩ Q is a face of P, and likewise of Q.
+
+    Completeness.  Let distinct cells, none a face of another, subdivide S
+    face to face.  The cells of dimension `dim` cover a dense part of S, so
+    by closedness all of it; a smaller cell meets one of them in a face
+    holding its relative interior point, so is a face of it.  So every cell
+    has dimension `dim` and lies in S.  Let F be a facet of a cell P on no
+    facet row of S; a relative interior point z of F is then in S°, and
+    some cell Q holds points across F arbitrarily near z, so holds z.  P ∩ Q
+    is a proper face of P through z, so it is F, and F is a facet of Q.
+    The facet has the lineality of both cells, so adjacent cells have one
+    lineality space, and as S° stays connected after removing where two
+    facet hyperplanes meet, so do all cells: (a) holds.  The canonical
+    generators of F are then the same read off P or Q, so P and Q share F's
+    key from opposite sides; a second cell on one side of F would overlap
+    P or Q in interiors: (b) holds.  A relative interior point of the first
+    cell is interior to it, so lies in no other cell: (c) holds.
     """
     if not cells:
-        return False
-    lin = cells[0].lineality
-    if any(c.dim != dim or c.lineality != lin for c in cells):
-        return False
-    if support is not None and not all(_subset_of(c, support) for c in cells):
-        return False
-    sides = {}  # key -> [cell with the canonical row, cell with its negation]
-    for i, c in enumerate(cells):
+        return ["no nonempty cells"]
+    first, lin = cells[0][0], cells[0][1].lineality
+    findings = []
+    for label, c in cells:
+        if c.dim != dim:
+            findings.append(f"maximal cell {label!r} has dimension {c.dim}, expected {dim}")
+        if c.lineality != lin:
+            findings.append(f"maximal cell {label!r} has lineality {c.lineality}, "
+                            f"cell {first!r} has {lin}")
+        if support is not None and not _subset_of(c, support):
+            findings.append(f"maximal cell {label!r} leaves the declared support")
+    if findings:
+        return findings
+    sides = {}  # key -> [index of the cell with the canonical row, of the cell with its negation]
+    for i, (label, c) in enumerate(cells):
         gens = c._hom_gens[0] + c._hom_gens[1]
         for h in c._hom_rows[0]:
             key = (sign_canonical(h), frozenset(g for g in gens if dot(h, g) == 0))
             side = sides.setdefault(key, [None, None])
             s = key[0] != h
-            if side[s] is not None:
-                return False
-            side[s] = i
+            if side[s] is None:
+                side[s] = i
+            else:
+                findings.append(f"cells {cells[side[s]][0]!r} and {label!r} overlap in interiors "
+                                f"beside their common facet (normal {h[:-1]})")
     # the lineality of a cell in the support lies on every row of the support
     boundary = () if support is None else support._hom_rows[0]
-    for (_, on), side in sides.items():
+    for (row, on), side in sides.items():
         if None in side and not any(all(dot(b, g) == 0 for g in on) for b in boundary):
-            return False
-    x = cells[0].relative_interior_point()
-    return not any(c.contains(x) for c in cells[1:])
+            s = side[0] is None
+            normal = neg(row[:-1]) if s else row[:-1]
+            findings.append(f"facet of cell {cells[side[s]][0]!r} is shared by no cell across it "
+                            f"(normal {normal})")
+    if findings:
+        return findings
+    x = cells[0][1].relative_interior_point()
+    return [f"cells {first!r} and {label!r} overlap in interiors; "
+            f"witness {[frac_str(v) for v in x]}" for label, c in cells[1:] if c.contains(x)]
 
 
 def _label_json(label):

@@ -142,8 +142,9 @@ def check_tail_fans(k, n):
         return False, f"{len(fan.maximal)} cones, expected {comb(n, k)}"
     if any(not c.is_pointed for _, c in fan.maximal):
         return False, "non-pointed maximal cone"
-    if not fan.subdivision().check()[0]:
-        return False, "fan is not complete"
+    ok, findings = fan.subdivision().check()
+    if not ok:
+        return False, "; ".join(findings[:3])
     chart = tail_cone_chart(set(range(1, n)) - {k}, n)
     gens = set()
     rs = RootSystemA(n)

@@ -50,7 +50,7 @@ def test_resumed_runs_go_through_the_module_global(monkeypatch):
 
     monkeypatch.setattr(dd, "process", counting)
     fan = common_refinement_fan(pi)
-    assert len(fan.cones()) == 4
+    assert len(fan.maximal) == 4
     assert calls == [(2, 4, False), (2, 1, True), (2, 2, True), (2, 0, True), (2, 1, True)]
 
 

@@ -182,7 +182,7 @@ def test_non_integer_or_empty_weights_exit_2(capsys, tmp_path, data, needle):
 
 
 def test_fansy_guard_exit_2(capsys):
-    code, _, err = run(capsys, "fansy", "--n", "10")
+    code, _, err = run(capsys, "fansy", "--n", "12")
     assert code == 2
 
 

@@ -18,6 +18,7 @@ from ppfan.divisors import (
 )
 from ppfan.lattice import LatticeMap
 from ppfan.polyhedra import Cone, Fan, Polyhedron, face_minimizing, intersect, min_value
+from test_polyhedra import check_as_ref
 
 
 def tri_divisor():
@@ -196,14 +197,20 @@ def test_structure_check_catches_overlap():
     ))
     rep = check_subdivision_structure(f)
     assert not rep.passed
-    assert any("overlap" in s for s in rep.findings)
+    # [-1, oo) overlaps [0, oo) but shares none of its facets, so the facet at
+    # 0 is shared by no cell across it; the tails, [0, oo) twice, leave (-oo, 0) bare
+    assert rep.findings == (
+        """label {"name": "D"}: facet of cell 'A' is shared by no cell across it (normal (1,))""",
+        """label {"name": "D"}: facet of cell 'B' is shared by no cell across it (normal (1,))""",
+        "tail cones: facet of cell 'A' is shared by no cell across it (normal (1,))")
 
 
 def test_structure_check_names_the_one_bad_tail_pair():
     # the first quadrant and the cone over (1, 1), (-1, 1) overlap in a
     # 2-dimensional cone, a face of neither; each meets the fourth-quadrant
     # cone over (0, -1), (1, -1) in the vertex 0, a face of both.  The three
-    # cones do not cover the plane, so four of their facets are uncovered.
+    # cones share no facet, and the check names each cone by its label (the
+    # pair check of `ref_check` names the overlap of 'a' and 'b' too).
     lab = Label.named("D")
     quadrant = Cone.from_rays("N", 2, [(1, 0), (0, 1)])
     wedge = Cone.from_rays("N", 2, [(1, 1), (-1, 1)])
@@ -213,13 +220,11 @@ def test_structure_check_names_the_one_bad_tail_pair():
         for key, c in (("a", quadrant), ("b", wedge), ("c", below))))
     rep = check_subdivision_structure(f)
     assert not rep.passed
-    tail_findings = [s for s in rep.findings if s.startswith("tail cones")]
-    assert tail_findings == [
-        "tail cones: cells 'a' and 'b' overlap in interiors; witness ['1', '2']",
-        "tail cones: facet of cell 'a' is uncovered (normal (0, 1))",
-        "tail cones: facet of cell 'b' is uncovered (normal (1, 1))",
-        "tail cones: facet of cell 'c' is uncovered (normal (-1, -1))",
-        "tail cones: facet of cell 'c' is uncovered (normal (1, 0))"]
+    fan = Fan("N", 2, tuple((key, d.tail) for key, d in f.cells))
+    ok, findings = check_as_ref(fan.subdivision())
+    assert [s for s in rep.findings if s.startswith("tail cones")] == [
+        "tail cones: " + s for s in findings]
+    assert {s.split("'")[1] for s in findings} == {"a", "b", "c"}
 
 
 def test_structure_check_names_label_and_cells_on_gr5():
@@ -236,9 +241,13 @@ def test_structure_check_names_label_and_cells_on_gr5():
     rep = check_subdivision_structure(broken)
     assert not rep.passed
     assert key == (1, 2) and label == Label.partition((1, 2), 5)
-    assert all(f.startswith(f"label {label}: ") and "(1, 2)" in f for f in rep.findings)
-    assert rep.findings[0] == (f"label {label}: cells (1, 2) and (1, 3) "
-                               "do not meet in a common face")
+    check_as_ref(broken.subdivision_for(label))
+    assert all(f.startswith('label {"partition": [1, 2]}: ') for f in rep.findings)
+    # the facets of the moved cell, and of the cells it left, are shared by no cell across them
+    assert rep.findings[0] == ('label {"partition": [1, 2]}: facet of cell (1, 2) '
+                               'is shared by no cell across it (normal (-3, 0, 0, 0))')
+    assert {f.split("cell ")[1].split(" is")[0] for f in rep.findings} == {
+        "(1, 2)", "(1, 3)", "(1, 4)", "(1, 5)", "(2, 3)", "(2, 4)", "(2, 5)"}
 
 
 @pytest.mark.parametrize("k", [4, 6])
@@ -248,7 +257,7 @@ def test_structure_check_passes_on_a_line_by_pairs(k):
     setup = build_setup(LatticeMap(((1,) * k, tuple(range(k))), "E", "M"))
     fansy = projectivize(setup, pp_from_weights(setup), verify=False)
     fan = Fan(fansy.ambient, fansy.dim_ambient, tuple((key, d.tail) for key, d in fansy.cells))
-    assert {(c.rays, c.lineality) for c in fan.cones()} == {
+    assert {(c.rays, c.lineality) for _, c in fan.maximal} == {
         ((), ()), (((-1,),), ()), (((1,),), ())}
     tails = fan.subdivision()
     assert sorted(p.rays for _, p in tails.maximal_cells()) == [((-1,),), ((1,),)]

@@ -106,6 +106,31 @@ def test_tail_fan_complete_pointed(k, n):
     assert fan.subdivision().check() == (True, [])
 
 
+def test_tail_fan_check_names_the_hole(monkeypatch):
+    # tail fan (2,5) with its first cone replaced by a copy of the second: ten
+    # pointed cones with a hole where the first was.  The detail gives the
+    # first findings, facets of the cones around the hole, each one of the
+    # hole's facets seen from the other side
+    import re
+    from dataclasses import replace
+    import ppfan.verify as verify
+
+    fan = tail_fan(2, 5)
+    (_, hole), (_, copy) = fan.maximal[:2]
+    holed = replace(fan, maximal=fan.maximal[1:] + (("copy", copy),))
+    monkeypatch.setattr(verify, "tail_fan", lambda k, n: holed)
+    ok, detail = verify.check_tail_fans(2, 5)
+    assert not ok
+    assert detail == "; ".join(holed.subdivision().check()[1][:3])
+    labels = {repr(label) for label, _ in fan.maximal[1:]}
+    walls = {tuple(-x for x in a) for a in hole.ineqs}
+    for part in detail.split("; "):
+        m = re.fullmatch(r"facet of cell (.*) is shared by no cell across it "
+                         r"\(normal \((.*)\)\)", part)
+        assert m and m[1] in labels, part
+        assert tuple(int(x) for x in m[2].split(", ")) in walls, part
+
+
 def test_tail_fan_13_equals_projected_orthants():
     # image of the three sign-pattern orthants under e_i -> ell_i
     rs = RootSystemA(3)
@@ -461,7 +486,7 @@ def test_n5_balanced_edge():
 
 def test_recipe_guard():
     with pytest.raises(ValueError):
-        fansy_via_recipe(10)
+        fansy_via_recipe(12)
 
 
 def test_condition1_witnesses_on_closed_form():

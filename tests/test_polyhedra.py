@@ -347,7 +347,7 @@ def check_chamber_fan(pi, fan, xs):
     support = Cone.from_rays(name, r, cols)
     images = [Cone.from_rays(name, r, [cols[j] for j in range(pi.cols) if mask >> j & 1])
               for mask in range(1 << pi.cols)]
-    cones = fan.cones()
+    cones = [c for _, c in fan.maximal]
     chambers = tuple((label, c.to_polyhedron()) for label, c in fan.maximal)
     assert Subdivision(name, r, chambers, support.to_polyhedron()).check() == (True, [])
     assert all(c.dim == r for c in cones)
@@ -378,7 +378,7 @@ def test_refinement_identity_quadrants():
     fan = common_refinement_fan(LatticeMap(((1, 0), (0, 1)), "E", "N"))
     assert len(fan.maximal) == 1
     assert fan.rays() == ((0, 1), (1, 0))
-    assert fan.labels() == [((0, 1),)]
+    assert [l for l, _ in fan.maximal] == [((0, 1),)]
     quadrant = Polyhedron.from_generators("N", 2, [(0, 0)], [(1, 0), (0, 1)])
     chambers = tuple((label, c.to_polyhedron()) for label, c in fan.maximal)
     assert Subdivision("N", 2, chambers, quadrant).check() == (True, [])
@@ -510,7 +510,7 @@ def test_refinement_basis_rows_are_the_inverse(mat):
     finally:
         polyhedra.from_incidence = real
     assert built == [[scale_to_int(a) for a in rational_left_inverse(mat)]]
-    assert fan.labels() == [(tuple(range(r)),)]
+    assert [l for l, _ in fan.maximal] == [(tuple(range(r)),)]
 
 
 def test_refinement_point_location_randomized():
@@ -545,7 +545,8 @@ def test_refinement_independent_of_column_order():
         rng.shuffle(order)
         moved = LatticeMap(tuple(tuple(row[j] for j in order) for row in pi.entries),
                            pi.domain, pi.codomain)
-        assert set(common_refinement_fan(moved).cones()) == set(common_refinement_fan(pi).cones())
+        assert ({c for _, c in common_refinement_fan(moved).maximal}
+                == {c for _, c in common_refinement_fan(pi).maximal})
 
 
 @st.composite
@@ -592,7 +593,7 @@ def test_refinement_sampling_oracle(pi, data):
     fan = common_refinement_fan(pi)
     xs = data.draw(st.lists(st.tuples(*[_rats] * pi.rows), min_size=8, max_size=8))
     # the fan's own rays and cone centres exercise boundaries and interiors
-    xs += list(fan.rays()) + [c.to_polyhedron().relative_interior_point() for c in fan.cones()]
+    xs += list(fan.rays()) + [c.to_polyhedron().relative_interior_point() for _, c in fan.maximal]
     check_chamber_fan(pi, fan, xs)
     check_chambers(pi, fan)
 
@@ -1091,29 +1092,14 @@ def test_cone_is_face_of_matches_rebuild(pair):
     assert ref_cone_is_face_of(moved, other) is False
 
 
-@settings(HYP, max_examples=60)
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=6,
-                unique=True),
-       st.data())
-def test_coverage_matches_rebuild(points, data):
-    heights = data.draw(st.lists(_ints, min_size=len(points), max_size=len(points)))
-    sub = induced_subdivision("Q", points, heights)
-    keep = data.draw(st.lists(st.booleans(), min_size=len(sub.cells), max_size=len(sub.cells)))
-    cells = tuple(c for c, k in zip(sub.cells, keep) if k) or sub.cells
-    support = data.draw(st.sampled_from([sub.support, None]))
-    sub = Subdivision("Q", 2, cells, support)
-    dim = 2 if support is None else support.dim
-    maximal = sub.maximal_cells()
-    assert sub._coverage_findings(maximal, dim) == ref_coverage_findings(sub, maximal, dim)
-
-
-# --- subdivision check on generators, against the intersect-every-pair check -
+# --- subdivision check by the certificate, against the intersect-every-pair check
 #
-# ref_check is Subdivision.check as it was before pairs and facets were
-# decided on the cells' own generators: every pair of maximal cells is
-# intersected by double description, and every facet is rebuilt from its
-# tight row (ref_coverage_findings).  Findings name each maximal cell by the
-# first label that carries it.
+# ref_check decides the subdivision axioms one by one: every pair of maximal
+# cells is intersected by double description, and every facet is rebuilt
+# from its tight row (ref_coverage_findings).  Findings name each maximal
+# cell by the first label that carries it.  Subdivision.check is the
+# facet-matching certificate alone; its findings are worded by the stage of
+# the certificate that broke, so only the verdicts are compared.
 
 
 def ref_check(sub):
@@ -1194,32 +1180,51 @@ def subdivisions(draw):
     return Subdivision("Q", d, tuple(cells), support)
 
 
+def check_as_ref(sub):
+    """sub.check(), after asserting its verdict is ref_check's and its findings name cells.
+
+    Every finding names a maximal cell by its label, unless there is none.
+    """
+    ok, findings = sub.check()
+    assert ok == ref_check(sub)[0] and ok == (findings == [])
+    names = [(f"cell {l!r} ", f"cells {l!r} ", f"and {l!r} ") for l, _ in sub.maximal_cells()]
+    if names:
+        assert all(any(n in f for ns in names for n in ns) for f in findings), findings
+    else:
+        assert findings == ["no nonempty cells"]
+    return ok, findings
+
+
 @settings(HYP, max_examples=200)
 @given(subdivisions())
 def test_check_matches_intersect_every_pair(sub):
-    assert sub.check() == ref_check(sub)
+    check_as_ref(sub)
 
 
 _SQUARE = poly_V([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-@pytest.mark.parametrize("other, meet", [
+@pytest.mark.parametrize("other, first", [
     (_SQUARE.translate((1, 0)), None),
-    (_SQUARE.translate((1, 1)), None),
-    (_SQUARE.translate((3, 0)), None),
+    (_SQUARE.translate((1, 1)), "facet of cell 'square' is shared by no cell across it (normal (-1, 0))"),
+    (_SQUARE.translate((3, 0)), "facet of cell 'square' is shared by no cell across it (normal (-1, 0))"),
     (_SQUARE, None),  # kept once among the maximal cells
-    (poly_V([(0, 0), (1, 0), (0, 1)]), "overlap in interiors"),  # a part, not a face
+    # a part, not a face: both lie above their common facet on y = 0
+    (poly_V([(0, 0), (1, 0), (0, 1)]),
+     "cells 'square' and 'other' overlap in interiors beside their common facet (normal (0, 1))"),
     # x = 1 separates them, but the meet is half of an edge: a face of neither
-    (_SQUARE.translate((1, F(1, 2))), "do not meet in a common face"),
-    (poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]).translate((F(1, 2), 0)), "overlap in interiors"),
+    (_SQUARE.translate((1, F(1, 2))), "facet of cell 'square' is shared by no cell across it (normal (-1, 0))"),
+    (poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]).translate((F(1, 2), 0)),
+     "facet of cell 'square' is shared by no cell across it (normal (-1, 0))"),
 ], ids=["shared-edge", "shared-vertex", "apart", "same-cell", "triangle-inside",
         "half-edge-shift", "overlap"])
-def test_check_decides_two_cells(other, meet):
-    sub = Subdivision("Q", 2, (("square", _SQUARE), ("other", other)))
-    ok, findings = sub.check()
-    assert (ok, findings) == ref_check(sub)
-    pair = [meet in f for f in findings if f.startswith("cells 'square' and 'other'")]
-    assert pair == ([] if meet is None else [True])
+def test_check_decides_two_cells(other, first):
+    # on their hull the first finding names what broke; the whole plane is
+    # covered by no two bounded cells
+    hull = poly_V(_SQUARE.vertices + other.vertices)
+    ok, findings = check_as_ref(Subdivision("Q", 2, (("square", _SQUARE), ("other", other)), hull))
+    assert findings[:1] == ([] if first is None else [first])
+    assert not check_as_ref(Subdivision("Q", 2, (("square", _SQUARE), ("other", other))))[0]
 
 
 @st.composite
@@ -1275,20 +1280,19 @@ def test_subdivision_check_runs_no_dd_on_gr5(monkeypatch):
 
 # --- the facet-matching certificate -----------------------------------------
 #
-# `_tiles` may only accept cells that subdivide their support face to face:
-# whenever it accepts, the intersect-every-pair reference finds nothing.
+# `_tiles` accepts exactly the cells that subdivide their support face to
+# face, which the intersect-every-pair reference decides on its own.
 
 
 def _certified(sub):
     dim = sub.dim_ambient if sub.support is None else sub.support.dim
-    return _tiles([p for _, p in sub.maximal_cells()], dim, sub.support)
+    return not _tiles(sub.maximal_cells(), dim, sub.support)
 
 
 @settings(HYP, max_examples=300)
 @given(subdivisions())
 def test_certificate_implies_ref_check(sub):
-    if _certified(sub):
-        assert ref_check(sub) == (True, [])
+    assert _certified(sub) == ref_check(sub)[0]
 
 
 def _intact_subdivisions():
@@ -1308,7 +1312,7 @@ def test_certificate_accepts_intact_and_rejects_mutants(sub):
         intact = Subdivision("Q", sub.dim_ambient, sub.cells, support)
         # bounded cells do not cover the whole space
         assert _certified(intact) == (support is not None)
-        assert intact.check() == ref_check(intact)
+        check_as_ref(intact)
     cells = list(sub.cells)
     (l0, p0), (_, p1) = cells[:2]
     hull = poly_V(p0.vertices + p1.vertices, d=sub.dim_ambient)
@@ -1321,47 +1325,68 @@ def test_certificate_accepts_intact_and_rejects_mutants(sub):
     for name, mutated in mutants.items():
         bad = Subdivision("Q", sub.dim_ambient, tuple(mutated), sub.support)
         assert not _certified(bad), name
-        ok, findings = bad.check()
-        assert not ok and (ok, findings) == ref_check(bad), name
+        assert not check_as_ref(bad)[0], name
 
 
 def test_certificate_on_cones():
     # a fan's cones are certified as the polyhedra `Fan.subdivision` makes of them
     from ppfan.grassmann import tail_fan
 
-    def polys(*cones):
-        return [c.to_polyhedron() for c in cones]
+    def check(*maximal):
+        cone = maximal[0][1]
+        return check_as_ref(Fan(cone.ambient, cone.dim_ambient, maximal).subdivision())
 
-    cones = tail_fan(2, 5).cones()
-    d = cones[0].dim_ambient
-    assert _tiles(polys(*cones), d)
-    assert not _tiles(polys(*cones[1:]), d)           # a hole
+    cones = tail_fan(2, 5).maximal
+    d = cones[0][1].dim_ambient
+    assert check(*cones) == (True, [])
+    assert not check(*cones[1:])[0]           # a hole
     # the positive orthant overlaps four of the cones: not a tiling
-    orthant = Cone.from_rays(cones[0].ambient, d, [tuple(int(i == j) for j in range(d))
-                                                   for i in range(d)])
-    assert sum(ref_cone_intersect(c, orthant).dim == d for c in cones) == 4
-    assert not _tiles(polys(*cones, orthant), d)
-    # the upper half-plane over two quadrants: facets do not match
+    orthant = Cone.from_rays(cones[0][1].ambient, d, [tuple(int(i == j) for j in range(d))
+                                                      for i in range(d)])
+    assert sum(ref_cone_intersect(c, orthant).dim == d for _, c in cones) == 4
+    assert not check(*cones, ("orthant", orthant))[0]
+    # the upper half-plane over two quadrants: the half-plane's lineality is
+    # not the quadrants', and the check stops there
     up = Cone.from_rays("A", 2, [(0, 1)], [(1, 0)])
     q3 = Cone.from_rays("A", 2, [(-1, 0), (0, -1)])
     q4 = Cone.from_rays("A", 2, [(1, 0), (0, -1)])
     low = Cone.from_rays("A", 2, [(0, -1)], [(1, 0)])
-    assert not _tiles(polys(up, q3, q4), 2)
-    # each bad meet is a ray, a face of the quadrant but not of the half-plane,
-    # and the half-plane's boundary line is the facet of no other cone
-    assert Fan("A", 2, (("q3", q3), ("up", up), ("q4", q4))).subdivision().check() == (False, [
-        "cells 'q3' and 'up' do not meet in a common face",
-        "cells 'up' and 'q4' do not meet in a common face",
-        "facet of cell 'up' is uncovered (normal (0, 1))"])
-    assert _tiles(polys(up, low), 2)
-    assert not _tiles(polys(up, low, q4), 2)
-    # two complete fans overlaid: every facet matches, every point is covered twice
-    quadrants = [Cone.from_rays("A", 2, [a, b]) for a, b in
-                 [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]]
-    diagonal = [Cone.from_rays("A", 2, [a, b]) for a, b in
-                [((1, 1), (-1, 1)), ((-1, 1), (-1, -1)), ((-1, -1), (1, -1)), ((1, -1), (1, 1))]]
-    assert _tiles(polys(*quadrants), 2) and _tiles(polys(*diagonal), 2)
-    assert not _tiles(polys(*quadrants, *diagonal), 2)
+    assert check(("q3", q3), ("up", up), ("q4", q4)) == (False, [
+        "maximal cell 'up' has lineality ((1, 0),), cell 'q3' has ()"])
+    assert check(("up", up), ("low", low)) == (True, [])
+    assert check(("up", up), ("low", low), ("q4", q4)) == (False, [
+        "maximal cell 'q4' has lineality (), cell 'up' has ((1, 0),)"])
+    # two complete fans overlaid: every facet matches, every point is covered
+    # twice, and the point (1, 1) of the first quadrant names the overlaps
+    quadrants = [(f"q{i}", Cone.from_rays("A", 2, [a, b])) for i, (a, b) in
+                 enumerate([((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)),
+                            ((0, -1), (1, 0))])]
+    diagonal = [(f"d{i}", Cone.from_rays("A", 2, [a, b])) for i, (a, b) in
+                enumerate([((1, 1), (-1, 1)), ((-1, 1), (-1, -1)), ((-1, -1), (1, -1)),
+                           ((1, -1), (1, 1))])]
+    assert check(*quadrants) == check(*diagonal) == (True, [])
+    assert check(*quadrants, *diagonal) == (False, [
+        "cells 'q0' and 'd0' overlap in interiors; witness ['1', '1']",
+        "cells 'q0' and 'd3' overlap in interiors; witness ['1', '1']"])
+
+
+def test_certificate_needs_one_lineality():
+    # z >= 0 cut by y = 0, 1 into three slabs along the x axis, and z <= 0 cut
+    # by y - x = 0, 1 into three along (1, 1, 0): every facet is matched and
+    # every point is covered once, but the middle slabs meet in a
+    # parallelogram, a face of neither.  Only the lineality condition sees it.
+    top = [poly_V([(0, 0, 0)], [(0, -1, 0), (0, 0, 1)], [(1, 0, 0)], d=3),
+           poly_V([(0, 0, 0), (0, 1, 0)], [(0, 0, 1)], [(1, 0, 0)], d=3),
+           poly_V([(0, 1, 0)], [(0, 1, 0), (0, 0, 1)], [(1, 0, 0)], d=3)]
+    bottom = [poly_V(c.vertices, [(0, 0, -1) if r == (0, 0, 1) else r for r in c.rays],
+                     [(1, 1, 0)], d=3) for c in top]
+    cells = [(f"top{i}", c) for i, c in enumerate(top)] + [(f"bottom{i}", c)
+                                                             for i, c in enumerate(bottom)]
+    assert check_as_ref(Subdivision("Q", 3, tuple(cells))) == (False, [
+        f"maximal cell 'bottom{i}' has lineality ((1, 1, 0),), cell 'top0' has ((1, 0, 0),)"
+        for i in range(3)])
+    half = poly_V([(0, 0, 0)], [(0, 0, 1)], [(1, 0, 0), (0, 1, 0)], d=3)
+    assert check_as_ref(Subdivision("Q", 3, tuple(cells[:3]), half)) == (True, [])
 
 
 def test_certificate_rejects_two_overlaid_subdivisions():
@@ -1369,10 +1394,12 @@ def test_certificate_rejects_two_overlaid_subdivisions():
     halves = [poly_V([(0, 0), (1, 0), (0, 2), (1, 2)]), poly_V([(1, 0), (2, 0), (1, 2), (2, 2)])]
     layers = [poly_V([(0, 0), (2, 0), (0, 1), (2, 1)]), poly_V([(0, 1), (2, 1), (0, 2), (2, 2)])]
     for cells in (halves, layers):
-        assert _tiles(cells, 2, square)
+        assert _tiles(list(enumerate(cells)), 2, square) == []
     sub = Subdivision("Q", 2, tuple(enumerate(halves + layers)), square)
     assert not _certified(sub)
-    assert sub.check() == ref_check(sub) and not sub.check()[0]
+    assert check_as_ref(sub) == (False, [
+        "cells 0 and 2 overlap in interiors; witness ['1/2', '1']",
+        "cells 0 and 3 overlap in interiors; witness ['1/2', '1']"])
 
 
 def test_certificate_rejects_cell_leaving_support():
