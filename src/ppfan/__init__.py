@@ -1,6 +1,5 @@
 """Exact rational polyhedral divisors and fansy divisors of torus varieties."""
 
-from .dd import BACKEND
 from .divisors import (
     FansyDivisor,
     FormalDivisor,
@@ -35,6 +34,7 @@ from .polyhedra import (
 from .chow import WeightSetup, boundary_face, build_setup, pp_from_weights, projectivize
 
 __version__ = "0.1.0"
+BACKEND = "python"  # the one double description kernel, `ppfan._ddpure.process`
 
 __all__ = [
     "BACKEND",

@@ -13,6 +13,11 @@ from operator import mul
 
 
 def dot(a, b):
+    """The dot product over the shorter vector's length.
+
+    So a homogeneous row h = (a, c) and a ray or lineality vector r give
+    dot(h, r) = h.(r, 0) = a.r, with no padded copy of r.
+    """
     return sum(map(mul, a, b))
 
 

@@ -298,7 +298,7 @@ def _minimizers(poly, form):
     """The homogeneous vertices (N, D) of poly on which form.N / D is least."""
     if poly.empty:
         raise ValueError("empty polyhedron")
-    verts = poly._hom_gens[0]
+    verts = poly.points
     vals = [(dot(form, g[:-1]), g[-1]) for g in verts]
     n0, d0 = vals[0]
     for n, d in vals:

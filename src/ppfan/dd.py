@@ -20,8 +20,6 @@ own generators with its own rows, with no run at all.
 from ._ddpure import process
 from ._vecops import dot, is_zero, reduce_mod_rows, rref_primitive
 
-BACKEND = "python"  # the only kernel, reported as `ppfan.BACKEND`
-
 
 def dd_cone(dim, ineqs, eqs, tight=None):
     """Extreme rays and lineality of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.

@@ -30,7 +30,10 @@ the quotient fan, one run resumed from a simplicial cone, its facets read
 off the run's tight sets.
 Polyhedra are homogenised with one extra trailing coordinate, and store
 each vertex x as its primitive integer row (N, D), x = N/D with D > 0
-(`Polyhedron.points`); `Fraction`s appear only in `vertices` and JSON.
+(`Polyhedron.points`), and each row as (a, c), a.x + c >= 0 (or = 0); JSON
+writes its offset -c, and `Fraction`s appear only in `vertices` and JSON.
+A ray or lineality vector r is kept as it is: every row h reads it as
+(r, 0), since `dot(h, r)` stops at the shorter vector.
 
 `Subdivision.check` is one facet-matching certificate (`_tiles`, which has
 the proofs that it is sound and complete), in time linear in the number of
@@ -156,15 +159,15 @@ class Polyhedron:
 
     `points` are the vertices x as primitive integer rows (N, D), x = N/D
     with D > 0, reduced modulo the lineality and sorted as int tuples.
-    `ineqs` rows are (a_1,...,a_d, b) meaning a.x >= b, scaled to primitive
-    integers; `eqs` rows likewise with a.x == b, the primitive RREF rows of
-    their span (so also their own HNF).  The empty polyhedron has
+    `ineqs` rows are homogeneous, (a_1,...,a_d, c) meaning a.x + c >= 0,
+    scaled to primitive integers and sorted; JSON writes the offset -c, so
+    a.x >= -c.  `eqs` rows likewise with a.x + c == 0, the primitive RREF
+    rows of their span (so also their own HNF).  The empty polyhedron has
     `empty=True` and no other data.
 
-    Containment and face tests read integer homogeneous forms of the same
-    data (`_hom_gens`, `_hom_rows`) and faces read their incidence
-    (`_incidence`); all three are computed on first use and cached on the
-    instance.  They are not fields, so equality, hashing and JSON ignore them.
+    Faces read the incidence of the rows with the points and rays
+    (`_incidence`), computed on first use and cached on the instance.  It
+    is not a field, so equality, hashing and JSON ignore it.
     """
 
     ambient: str
@@ -214,48 +217,36 @@ class Polyhedron:
         return tuple(tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in _by_value(self.points))
 
     @cached_property
-    def _hom_gens(self):
-        """(points, rays, lineality) as integer rows: a ray r becomes (r, 0)."""
-        return (self.points,
-                tuple(r + (0,) for r in self.rays),
-                tuple(l + (0,) for l in self.lineality))
-
-    @cached_property
-    def _hom_rows(self):
-        """(ineqs, eqs) as rows (a, -b): a.x >= b iff (a, -b).(N, D) >= 0."""
-        return (tuple(a[:-1] + (-a[-1],) for a in self.ineqs),
-                tuple(e[:-1] + (-e[-1],) for e in self.eqs))
-
-    @cached_property
     def _incidence(self):
-        """(row, mask) for each homogeneous inequality row and for x0 >= 0.
+        """(row, mask) for each inequality row (a, c) and for x0 >= 0.
 
         The mask has bit i set when the row is tight on the i-th of the
-        vertices and rays of `_hom_gens`, vertices first.  These rows cut out
-        every facet of the homogenisation cone.
+        points and rays, points first.  These rows cut out every facet of the
+        homogenisation cone.
         """
-        verts, rays, _ = self._hom_gens
-        rows = self._hom_rows[0] + ((0,) * self.dim_ambient + (1,),)
-        return tuple(zip(rows, tight_masks(rows, verts + rays)))
+        rows = self.ineqs + ((0,) * self.dim_ambient + (1,),)
+        return tuple(zip(rows, tight_masks(rows, self.points + self.rays)))
 
     def _face(self, sel):
-        """The face generated by the vertices and rays in the bitmask `sel` and the lineality.
+        """The face generated by the points and rays in the bitmask `sel` and the lineality.
 
         `sel` must select the generators of a nonempty face; the rest is read
         off the incidence by `dd.from_incidence`, without double description.
         """
-        verts, rays, lin = self._hom_gens
-        gens = [g for i, g in enumerate(verts + rays) if sel >> i & 1]
+        n = len(self.points)
         facets, equations = from_incidence(self.dim_ambient + 1,
                                            ((a, m & sel) for a, m in self._incidence),
-                                           sel, self._hom_rows[1])
-        return _poly_from_cone(self.ambient, self.dim_ambient, gens, lin, facets, equations)
+                                           sel, self.eqs)
+        return Polyhedron(self.ambient, self.dim_ambient, False,
+                          tuple(p for i, p in enumerate(self.points) if sel >> i & 1),
+                          tuple(r for i, r in enumerate(self.rays, n) if sel >> i & 1),
+                          self.lineality, *_rows(facets, equations))
 
     def tail_cone(self):
         """The recession cone, the face x0 = 0 of the homogenisation, without double description.
 
         Its rays and lineality are this polyhedron's, and its facets are cut
-        out by the a-parts of the rows a.x >= b, so the incidence of those
+        out by the a-parts of the rows a.x + c >= 0, so the incidence of those
         a-parts with the rays gives its canonical rows.
         """
         if self.empty:
@@ -277,9 +268,9 @@ class Polyhedron:
         """
         if self.points != ((0,) * self.dim_ambient + (1,),):
             raise ValueError("the hull is added only to a polyhedron whose one vertex is 0")
-        hv, *rest = (self._reduced(p) for p in hom_points)
-        if not rest:
-            return self._moved(self.points, *self._hom_rows, hv)
+        if len(hom_points) == 1:
+            return self._translate_hom(hom_points[0])
+        hv, *rest = map(self._reduced, hom_points)
         if len(rest) > 1 or self.eqs or self.lineality:
             return _from_hom_generators(self.ambient, self.dim_ambient, [hv, *rest],
                                         self.rays, self.lineality)
@@ -290,8 +281,10 @@ class Polyhedron:
 
     def _reduced(self, hv):
         """The homogeneous point hv, primitive and reduced modulo the lineality."""
-        lin = self._hom_gens[2]
-        return reduce_mod_rows(hv, lin) if lin else primitive(hv)
+        if not self.lineality:
+            return primitive(hv)
+        # `reduce_mod_rows` zips, so its rows are as long as hv
+        return reduce_mod_rows(hv, [l + (0,) for l in self.lineality])
 
     @cached_property
     def _ridges(self):
@@ -300,7 +293,7 @@ class Polyhedron:
         The polar of the homogenisation cone C is generated by C's facet rows,
         with C's equations as its lineality, and C's generators (vertices and
         rays as inequalities) cut it out, so `_incidence` is a minimal system
-        of the polar with the right tight sets: the rows `_hom_rows[0]`, plus
+        of the polar with the right tight sets: the rows `ineqs`, plus
         x0 >= 0 when it is a facet of C, that is, when its mask is contained
         in no facet's (every face lies in a facet, and distinct faces have
         distinct masks).  Rows i < j meet in a ridge when no third row's mask
@@ -321,7 +314,7 @@ class Polyhedron:
         return tuple(rows), tuple(pairs)
 
     def _moved(self, points, ineqs, eqs, hv):
-        """The polyhedron with self's rays and lineality and these points and homogeneous rows.
+        """The polyhedron with self's rays and lineality and these points and rows (a, c).
 
         All are moved by num/den, hv = (num, den) a `_reduced` point: a point
         (N, D) to (N*den + D*num, D*den), made primitive when den > 1 (for
@@ -348,7 +341,7 @@ class Polyhedron:
 
         Rays and lineality stay.  The shift is first reduced modulo the
         lineality (canonical vertices are), then added to every vertex; a
-        row a.x >= b (or a.x == b) becomes a.x >= b + a.v, rescaled to
+        row (a, c), a.x + c >= 0 (or = 0), becomes (a, c - a.v), rescaled to
         primitive integers.  The shift keeps every a-part, so facet rows stay
         reduced modulo the equations, and the equations, which are the
         primitive RREF rows of their span (their own HNF), stay in RREF: each
@@ -361,7 +354,7 @@ class Polyhedron:
 
     def _translate_hom(self, hv):
         """`translate` by the point with homogeneous integer coordinates hv (x0 > 0)."""
-        return self._moved(self.points, *self._hom_rows, self._reduced(hv))
+        return self._moved(self.points, self.ineqs, self.eqs, self._reduced(hv))
 
     def relative_interior_point(self):
         """The mean of the vertices plus the sum of the rays, as Fractions."""
@@ -388,10 +381,9 @@ class Polyhedron:
             return False
         if not _subset_of(self, other):
             return False
-        tight = [h for h in other._hom_rows[0] if _tight_on(h, self)]
-        verts, rays, lin = other._hom_gens
-        on_face = [g for g in verts + rays if all(dot(h, g) == 0 for h in tight)]
-        return _gens_in(self, on_face, lin)
+        tight = [h for h in other.ineqs if _tight_on(h, self)]
+        on_face = [g for g in other.points + other.rays if all(dot(h, g) == 0 for h in tight)]
+        return _gens_in(self, on_face, other.lineality)
 
     def to_json(self):
         if self.empty:
@@ -402,8 +394,8 @@ class Polyhedron:
             "vertices": [[ratio_str(x, p[-1]) for x in p[:-1]] for p in _by_value(self.points)],
             "rays": [list(r) for r in self.rays],
             "lineality": [list(l) for l in self.lineality],
-            "halfspaces": [{"normal": list(a[:-1]), "offset": a[-1]} for a in self.ineqs],
-            "equations": [{"normal": list(e[:-1]), "offset": e[-1]} for e in self.eqs],
+            "halfspaces": [{"normal": list(a[:-1]), "offset": -a[-1]} for a in self.ineqs],
+            "equations": [{"normal": list(e[:-1]), "offset": -e[-1]} for e in self.eqs],
         }
 
 
@@ -432,9 +424,8 @@ def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
     """The polyhedron from both canonical descriptions of its homogenisation cone.
 
     Rays with x0 > 0 are the `points` as they are, the others the tail rays;
-    a facet or equation (a, c) means a.x + c*x0 >= 0 (or = 0), stored as
-    a.x >= -c.  The face x0 = 0 is the recession cone, not a facet of the
-    polyhedron.
+    a facet or equation (a, c), a.x + c*x0 >= 0 (or = 0), is stored as it
+    is (`_rows`).
     """
     verts = []
     tails = []
@@ -445,25 +436,26 @@ def _poly_from_cone(ambient, dim_ambient, rays, lin, facets, equations):
             tails.append(r[:-1])
     if not verts:
         return Polyhedron.empty_in(ambient, dim_ambient)
-    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in facets if any(r[:-1])))
-    eqs = tuple(r[:-1] + (-r[-1],) for r in equations if any(r[:-1]))
-    return Polyhedron(
-        ambient, dim_ambient, False,
-        points=tuple(sorted(verts)),
-        rays=tuple(sorted(tails)),
-        lineality=tuple(l[:-1] for l in lin),
-        ineqs=ineqs,
-        eqs=eqs,
-    )
+    return Polyhedron(ambient, dim_ambient, False, tuple(sorted(verts)), tuple(sorted(tails)),
+                      tuple(l[:-1] for l in lin), *_rows(facets, equations))
+
+
+def _rows(facets, equations):
+    """(ineqs, eqs) of a polyhedron from its homogenisation cone's rows, facets sorted.
+
+    The face x0 = 0 is the recession cone, not a facet of the polyhedron.
+    """
+    return (tuple(sorted(h for h in facets if any(h[:-1]))),
+            tuple(e for e in equations if any(e[:-1])))
 
 
 def _gens_in(q, points, lines):
     """Homogeneous points and rays, and both signs of lines, lie in q's homogenised cone.
 
     For rays and lines this is the recession cone of a nonempty q, since
-    the recession cone of {a.x >= b} is {a.x >= 0}.
+    the recession cone of {a.x + c >= 0} is {a.x >= 0}.
     """
-    ineqs, eqs = q._hom_rows
+    ineqs, eqs = q.ineqs, q.eqs
     return (all(dot(h, g) >= 0 for g in points for h in ineqs)
             and all(dot(e, g) == 0 for g in points for e in eqs)
             and all(dot(h, g) == 0 for g in lines for h in ineqs + eqs))
@@ -471,25 +463,24 @@ def _gens_in(q, points, lines):
 
 def _cone_leq(p, q):
     """tail(p) together with lineality contained in tail(q)+lineality(q); q nonempty."""
-    _, rays, lin = p._hom_gens
-    return _gens_in(q, rays, lin)
+    return _gens_in(q, p.rays, p.lineality)
 
 
 def _move_rows(rows, num, den):
-    """Homogeneous rows (a, c), a.x + c >= 0 (or = 0), moved by num/den, as stored rows.
+    """Rows (a, c), a.x + c >= 0 (or = 0), moved by num/den.
 
-    a.(x - num/den) + c >= 0 is the stored row (den a, a.num - den c) over its
-    gcd g = gcd(den gcd(a), a.num - den c); the a-part is a itself when g = den.
+    a.(x - num/den) + c >= 0 is the row (den a, den c - a.num) over its gcd
+    g = gcd(den gcd(a), den c - a.num); the a-part is a itself when g = den.
     The row x0 >= 0 (a = 0) is no row of a polyhedron and is dropped.
     """
     out = []
     for h in rows:
-        a, c = h[:-1], h[-1]
+        a = h[:-1]
         ga = gcd(*a)
         if ga:
-            b = dot(a, num) - den * c
-            g = gcd(den * ga, b)
-            out.append(a + (b // g,) if g == den else tuple([den * x // g for x in a] + [b // g]))
+            c = den * h[-1] - dot(a, num)
+            g = gcd(den * ga, c)
+            out.append(a + (c // g,) if g == den else tuple([den * x // g for x in a] + [c // g]))
     return out
 
 
@@ -531,10 +522,9 @@ def _add_segment(p, s):
     return points, out
 
 
-def _tight_on(hom_row, poly):
-    """The homogeneous row (a, -b) holds with equality on all of poly."""
-    verts, rays, lin = poly._hom_gens
-    return all(dot(hom_row, g) == 0 for g in verts + rays + lin)
+def _tight_on(h, poly):
+    """The row h = (a, c) holds with equality on all of poly."""
+    return all(dot(h, g) == 0 for g in poly.points + poly.rays + poly.lineality)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +540,7 @@ def min_value(p: Polyhedron, u):
         return None
     if any(dot(r, u) < 0 for r in p.rays):
         return None
-    return min(Fraction(dot(v[:-1], u), v[-1]) for v in p._hom_gens[0])
+    return min(Fraction(dot(v[:-1], u), v[-1]) for v in p.points)
 
 
 def face_minimizing(p: Polyhedron, u):
@@ -563,8 +553,7 @@ def face_minimizing(p: Polyhedron, u):
         return None
     # (u, -m) is valid on the homogenisation and tight exactly on the face
     h = scale_to_int(tuple(u) + (-m,))
-    verts, rays, _ = p._hom_gens
-    return p._face(tight_masks([h], verts + rays)[0])
+    return p._face(tight_masks([h], p.points + p.rays)[0])
 
 
 def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
@@ -574,8 +563,8 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
         return Polyhedron.empty_in(p.ambient, p.dim_ambient)
     return Polyhedron.from_halfspaces(
         p.ambient, p.dim_ambient,
-        [(r[:-1], r[-1]) for r in p.ineqs + q.ineqs],
-        [(r[:-1], r[-1]) for r in p.eqs + q.eqs],
+        [(r[:-1], -r[-1]) for r in p.ineqs + q.ineqs],
+        [(r[:-1], -r[-1]) for r in p.eqs + q.eqs],
     )
 
 
@@ -600,7 +589,9 @@ def linear_image(p: Polyhedron, entries, codomain, dim_codomain, hom=None) -> Po
         return Polyhedron.empty_in(codomain, dim_codomain)
     if hom is None:
         hom = homogenise(entries, p.dim_ambient)
-    verts, rays, lin = ([primitive(mat_vec(hom, g)) for g in gens] for gens in p._hom_gens)
+    # `dot` reads a ray or lineality vector r as (r, 0)
+    verts, rays, lin = ([primitive(mat_vec(hom, g)) for g in gens]
+                        for gens in (p.points, p.rays, p.lineality))
     # rays and lineality keep x0 = 0 under the map; a zero image is no generator
     return _from_hom_generators(codomain, dim_codomain, verts,
                                 [r[:-1] for r in rays if any(r)], [l[:-1] for l in lin if any(l)])
@@ -713,7 +704,7 @@ def _subset_of(p, q):
         return True
     if q.empty:
         return False
-    return _gens_in(q, p._hom_gens[0], ()) and _cone_leq(p, q)
+    return _gens_in(q, p.points, ()) and _cone_leq(p, q)
 
 
 def _tiles(cells, dim, support=None):
@@ -798,8 +789,8 @@ def _tiles(cells, dim, support=None):
         return findings
     sides = {}  # key -> [index of the cell with the canonical row, of the cell with its negation]
     for i, (label, c) in enumerate(cells):
-        gens = c._hom_gens[0] + c._hom_gens[1]
-        for h in c._hom_rows[0]:
+        gens = c.points + c.rays
+        for h in c.ineqs:
             key = (sign_canonical(h), frozenset(g for g in gens if dot(h, g) == 0))
             side = sides.setdefault(key, [None, None])
             s = key[0] != h
@@ -809,7 +800,7 @@ def _tiles(cells, dim, support=None):
                 findings.append(f"cells {cells[side[s]][0]!r} and {label!r} overlap in interiors "
                                 f"beside their common facet (normal {h[:-1]})")
     # the lineality of a cell in the support lies on every row of the support
-    boundary = () if support is None else support._hom_rows[0]
+    boundary = () if support is None else support.ineqs
     for (row, on), side in sides.items():
         if None in side and not any(all(dot(b, g) == 0 for g in on) for b in boundary):
             s = side[0] is None

@@ -221,8 +221,8 @@ def test_11a_dual_description_round_trips(capsys):
         p = Polyhedron.from_generators("Q", d, verts, rays)
         again = Polyhedron.from_generators("Q", d, p.vertices, p.rays, p.lineality)
         from_h = Polyhedron.from_halfspaces("Q", d,
-                                            [(r[:-1], r[-1]) for r in p.ineqs],
-                                            [(r[:-1], r[-1]) for r in p.eqs])
+                                            [(r[:-1], -r[-1]) for r in p.ineqs],
+                                            [(r[:-1], -r[-1]) for r in p.eqs])
         assert p == again == from_h
     with capsys.disabled():
         _report("11a 200 dual description round trips")

@@ -69,8 +69,8 @@ def ref_level_set(p, u, c):
         return p
     return Polyhedron.from_halfspaces(
         p.ambient, p.dim_ambient,
-        [(r[:-1], r[-1]) for r in p.ineqs],
-        [(r[:-1], r[-1]) for r in p.eqs] + [(u, c)],
+        [(r[:-1], -r[-1]) for r in p.ineqs],
+        [(r[:-1], -r[-1]) for r in p.eqs] + [(u, c)],
     )
 
 
@@ -248,6 +248,21 @@ def test_structure_check_names_label_and_cells_on_gr5():
                                'is shared by no cell across it (normal (-3, 0, 0, 0))')
     assert {f.split("cell ")[1].split(" is")[0] for f in rep.findings} == {
         "(1, 2)", "(1, 3)", "(1, 4)", "(1, 5)", "(2, 3)", "(2, 4)", "(2, 5)"}
+
+
+def test_structure_check_caches_nothing_on_gr5_coefficients():
+    # the check reads each coefficient's own rows, points and rays; it
+    # leaves no homogeneous copy of them behind on the instance
+    from dataclasses import fields
+    from ppfan.grassmann import fansy_closed_form
+
+    fansy = fansy_closed_form(5)
+    assert check_subdivision_structure(fansy).passed
+    names = {f.name for f in fields(Polyhedron)}
+    coeffs = [p for _, d in fansy.cells for _, p in d.terms if not p.empty]
+    assert coeffs
+    for p in coeffs:
+        assert set(vars(p)) == names, sorted(set(vars(p)) - names)
 
 
 @pytest.mark.parametrize("k", [4, 6])

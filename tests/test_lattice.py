@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ppfan._vecops import (primitive, reduce_mod_rows, rref, rref_primitive, scale_to_int,
-                           sign_canonical)
+from ppfan._vecops import (dot, primitive, reduce_mod_rows, rref, rref_primitive,
+                           scale_to_int, sign_canonical)
 from ppfan.lattice import (
     LatticeMap,
     RationalMap,
@@ -390,6 +390,15 @@ HYP = settings(max_examples=300, deadline=None, derandomize=True, database=None,
 
 ENTRIES = st.one_of(st.integers(-4, 4),
                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@HYP
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.tuples(*[ENTRIES] * (n + 1)),
+                                                     st.tuples(*[ENTRIES] * n))))
+def test_dot_reads_a_short_vector_as_padded_with_zero(case):
+    # a homogeneous row h and a ray r: dot(h, r) is h.(r, 0), either way round
+    h, r = case
+    assert dot(h, r) == dot(h, r + (0,)) == dot(r, h) == sum(x * y for x, y in zip(h, r))
 
 
 @st.composite

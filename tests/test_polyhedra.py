@@ -76,8 +76,8 @@ def test_roundtrip_randomized():
         rays = [r for r in rays if any(r)]
         p = poly_V(verts, rays, d=d)
         q = poly_V(p.vertices, p.rays, p.lineality, d=d)
-        r = poly_H([(row[:-1], row[-1]) for row in p.ineqs],
-                   [(row[:-1], row[-1]) for row in p.eqs], d=d)
+        r = poly_H([(row[:-1], -row[-1]) for row in p.ineqs],
+                   [(row[:-1], -row[-1]) for row in p.eqs], d=d)
         assert p == q == r
 
 
@@ -718,15 +718,15 @@ def _dot(a, b):
 
 
 def _face_from_tight(poly, tight_rows):
-    ineqs = [(r[:-1], r[-1]) for r in poly.ineqs]
-    eqs = [(r[:-1], r[-1]) for r in poly.eqs] + [(r[:-1], r[-1]) for r in tight_rows]
+    ineqs = [(r[:-1], -r[-1]) for r in poly.ineqs]
+    eqs = [(r[:-1], -r[-1]) for r in poly.eqs] + [(r[:-1], -r[-1]) for r in tight_rows]
     return Polyhedron.from_halfspaces(poly.ambient, poly.dim_ambient, ineqs, eqs)
 
 
 def ref_contains(q, x):
     return (not q.empty
-            and all(_dot(a[:-1], x) >= a[-1] for a in q.ineqs)
-            and all(_dot(e[:-1], x) == e[-1] for e in q.eqs))
+            and all(_dot(a[:-1], x) >= -a[-1] for a in q.ineqs)
+            and all(_dot(e[:-1], x) == -e[-1] for e in q.eqs))
 
 
 def ref_cone_leq(p, q):
@@ -737,7 +737,7 @@ def ref_cone_leq(p, q):
 
 
 def ref_tight_on(row, p):
-    a, b = row[:-1], row[-1]
+    a, b = row[:-1], -row[-1]
     return (all(_dot(a, v) == b for v in p.vertices)
             and all(_dot(a, r) == 0 for r in p.rays)
             and all(_dot(a, l) == 0 for l in p.lineality))
@@ -865,7 +865,6 @@ def test_points_are_canonical_homogeneous_rows(p):
     for pt in p.points:
         assert pt[-1] > 0 and math.gcd(*pt) == 1
         assert all(pt[i] == 0 for i in pivots)
-    assert p._hom_gens[0] is p.points
     assert p.vertices == tuple(sorted(tuple(F(x, pt[-1]) for x in pt[:-1]) for pt in p.points))
 
 
@@ -1239,11 +1238,10 @@ def nonempty_polyhedra(draw):
 def test_facets_from_tight_generators(p):
     # every row of a cell cuts out a facet, generated by the cell's
     # generators on the row and its lineality
-    verts, rays, lin = p._hom_gens
-    for row, h in zip(p.ineqs, p._hom_rows[0]):
+    for row in p.ineqs:
         facet = _face_from_tight(p, [row])
         assert not facet.empty and facet.dim == p.dim - 1
-        on = [g for g in verts + rays if _dot(h, g) == 0]
+        on = [g for g in p.points + tuple(r + (0,) for r in p.rays) if _dot(row, g) == 0]
         spanned = poly_V([tuple(F(x, g[-1]) for x in g[:-1]) for g in on if g[-1]],
                          [g[:-1] for g in on if not g[-1]], p.lineality, d=p.dim_ambient)
         assert spanned == facet
@@ -1480,8 +1478,8 @@ def ref_poly_from_hom(ambient, d, hom_ineqs, hom_eqs):
     lin_rows = tuple(l[:-1] for l in lin)
     gens = [scale_to_int(v + (1,)) for v in verts] + [t + (0,) for t in tails]
     pol_rays, pol_lin = dd_cone(d + 1, gens, [l + (0,) for l in lin_rows])
-    ineqs = tuple(sorted(r[:-1] + (-r[-1],) for r in pol_rays if not is_zero(r[:-1])))
-    eqs = tuple(r[:-1] + (-r[-1],) for r in pol_lin if not is_zero(r[:-1]))
+    ineqs = tuple(sorted(r for r in pol_rays if not is_zero(r[:-1])))
+    eqs = tuple(r for r in pol_lin if not is_zero(r[:-1]))
     return Polyhedron(ambient, d, False, tuple(sorted(scale_to_int(v + (1,)) for v in verts)),
                       tuple(sorted(tails)),
                       lin_rows, ineqs, hnf_rows(eqs, d + 1) if eqs else ())
@@ -1722,12 +1720,12 @@ def test_faces_and_tail_cones_match_rebuild(case):
             continue
         # before the x0 = 0 facet is dropped, the incidence gives the whole
         # canonical description of the face's homogenisation cone
-        verts, rays, lin = p._hom_gens
-        picked = [g in face.points for g in verts] + [r in face.rays for r in p.rays]
+        rays, lin = (tuple(g + (0,) for g in gens) for gens in (p.rays, p.lineality))
+        picked = [g in face.points for g in p.points] + [r in face.rays for r in p.rays]
         sel = sum(1 << i for i, b in enumerate(picked) if b)
-        on = [g for g, b in zip(verts + rays, picked) if b]
+        on = [g for g, b in zip(p.points + rays, picked) if b]
         masked = [(a, m & sel) for a, m in p._incidence]
-        assert from_incidence(p.dim_ambient + 1, masked, sel, p._hom_rows[1]) == \
+        assert from_incidence(p.dim_ambient + 1, masked, sel, p.eqs) == \
             dd.dd_pair(p.dim_ambient + 1, on, lin)[:2]
         # the face is canonical, so its own faces and tail cone can be read off too
         assert face.tail_cone() == ref_tail_cone(face)
@@ -1793,7 +1791,7 @@ def ref_induced_subdivision(ambient, points, heights):
     support = Polyhedron.from_generators(ambient, d, points)
     cells = []
     for row in lift.ineqs:
-        a, b = row[:-1], row[-1]
+        a, b = row[:-1], -row[-1]
         if a[-1] <= 0:
             continue  # only lower facets induce cells
         members = tuple(i for i, q in enumerate(lifted) if _dot(a, q) == b)
